@@ -22,7 +22,7 @@ from .kernel import (
     select_kernel,
 )
 from .policy import BoolTaintPolicy, PCTaintPolicy, TaintPolicy
-from .shadow import ArrayLabelStore, PagedLabelStore, ShadowState
+from .shadow import ArrayLabelStore, ShadowState
 
 __all__ = [
     "DIFTEngine",
@@ -33,7 +33,6 @@ __all__ = [
     "PCTaintPolicy",
     "TaintPolicy",
     "ArrayLabelStore",
-    "PagedLabelStore",
     "ShadowState",
     "ArrayKernel",
     "BatchEffects",

@@ -112,7 +112,6 @@ class DIFTEngine(Hook):
         sinks: list[SinkRule] | None = None,
         propagate_addresses: bool = False,
         charge_overhead: bool = True,
-        paged_shadow: bool | None = None,
         kernel: str | None = None,
         kernel_batch: int | None = None,
         summaries: bool | None = None,
@@ -142,7 +141,7 @@ class DIFTEngine(Hook):
             policy
         ) in (BoolTaintPolicy, PCTaintPolicy)
         self._summary_cache = summary_cache
-        self._shadow = ShadowState(policy, paged=paged_shadow, array=name == "array")
+        self._shadow = ShadowState(policy, array=name == "array")
         self.source_channels = source_channels
         self.sinks = sinks if sinks is not None else [SinkRule(kind="icall")]
         self.propagate_addresses = propagate_addresses

@@ -208,7 +208,6 @@ class PropagationKernel:
             sinks=sinks,
             propagate_addresses=propagate_addresses,
             charge_overhead=False,
-            paged_shadow=False,
             kernel="reference",
         )
         # A standalone kernel owns its shadow (the store variant that
@@ -470,7 +469,7 @@ class ArrayKernel(PropagationKernel):
         # engine's default when it engages this kernel inline) pays off
         # for bulk export/clear on dense-taint heaps and is adopted
         # as-is when a consumer passes such a shadow.
-        return ShadowState(policy, paged=False)
+        return ShadowState(policy)
 
     # -- template columns ---------------------------------------------------
     def _grow(self, need: int) -> None:

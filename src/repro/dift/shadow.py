@@ -5,25 +5,22 @@ and per memory cell.  Untainted locations are simply absent, so
 :attr:`tainted_cells` / :attr:`shadow_bytes` directly measure the
 footprint the paper reports as "taint memory overhead".
 
-Three interchangeable memory backends behind the paged seam
-(`repro.fastpath.paged_shadow` / `repro.fastpath.array_kernel`):
+Two memory backends, chosen by the propagation kernel:
 
-* **flat dict** — address -> label, the reference implementation;
-* **paged store** — 4 KiB pages of label slots allocated on first
-  taint, with unallocated pages reading as the shared all-clear page.
-  ``clear_range`` (every ``free``/``alloc`` recycling a block) drops or
-  sweeps whole pages instead of popping one dict key per address, and
-  ``snapshot`` copies page lists instead of rebuilding a cell dict.
-* **array store** — the same page geometry over numpy ``int64`` label
-  words (scalar-encodable policies only: bool -> 1, last-writer -> pc,
-  ``-1`` = untainted).  Adds a vectorized :meth:`tainted_addresses`
-  export the array propagation kernel uses to seed its per-batch
-  tainted-key set without a Python-level scan.
+* **array store** — used when the array kernel is engaged
+  (`repro.fastpath.array_kernel`): 4 KiB pages of numpy ``int64``
+  label words, allocated on first taint (scalar-encodable policies
+  only: bool -> 1, last-writer -> pc, ``-1`` = untainted).  Adds a
+  vectorized :meth:`~ArrayLabelStore.tainted_addresses` export the
+  array propagation kernel uses to seed its per-batch tainted-key set
+  without a Python-level scan, and drops whole pages on ``clear_range``.
+* **flat dict** — address -> label, used otherwise (the reference
+  kernel, set-based policies); it is also the oracle the array store
+  is checked against.
 
-All backends expose the same mapping surface (``get``/``pop``/
-``[]=``/``len``/``values``/``items``), hold only non-``None`` labels,
-and produce bit-identical taint sets — proven by the fast-path
-differential suite.
+Both expose the same mapping surface (``get``/``pop``/``[]=``/``len``/
+``values``/``items``), hold only non-``None`` labels, and produce
+identical taint sets.
 """
 
 from __future__ import annotations
@@ -37,147 +34,12 @@ PAGE_SHIFT = 12
 PAGE_MASK = PAGE_SIZE - 1
 
 
-class PagedLabelStore:
-    """Sparse address -> label map backed by fixed-size label pages."""
-
-    __slots__ = ("pages", "counts", "total", "pages_allocated")
-
-    def __init__(self) -> None:
-        #: page index -> list of PAGE_SIZE label slots (None = untainted).
-        self.pages: dict[int, list] = {}
-        #: page index -> number of non-None slots (drives page reclaim).
-        self.counts: dict[int, int] = {}
-        self.total = 0
-        #: monotone count of pages ever materialized (telemetry).
-        self.pages_allocated = 0
-
-    # -- mapping surface (mirrors the dict backend) ---------------------
-    def get(self, addr: int, default=None):
-        page = self.pages.get(addr >> PAGE_SHIFT)
-        if page is None:
-            return default
-        label = page[addr & PAGE_MASK]
-        return default if label is None else label
-
-    def __contains__(self, addr: int) -> bool:
-        return self.get(addr) is not None
-
-    def __setitem__(self, addr: int, label) -> None:
-        idx = addr >> PAGE_SHIFT
-        page = self.pages.get(idx)
-        if page is None:
-            # Materialize a private copy of the all-clear page.
-            page = self.pages[idx] = [None] * PAGE_SIZE
-            self.counts[idx] = 0
-            self.pages_allocated += 1
-        slot = addr & PAGE_MASK
-        if page[slot] is None:
-            self.counts[idx] += 1
-            self.total += 1
-        page[slot] = label
-
-    def pop(self, addr: int, default=None):
-        idx = addr >> PAGE_SHIFT
-        page = self.pages.get(idx)
-        if page is None:
-            return default
-        slot = addr & PAGE_MASK
-        label = page[slot]
-        if label is None:
-            return default
-        page[slot] = None
-        remaining = self.counts[idx] - 1
-        if remaining == 0:
-            del self.pages[idx]
-            del self.counts[idx]
-        else:
-            self.counts[idx] = remaining
-        self.total -= 1
-        return label
-
-    def __len__(self) -> int:
-        return self.total
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PagedLabelStore):
-            return self.total == other.total and dict(self.items()) == dict(other.items())
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    __hash__ = None
-
-    def values(self):
-        for page in self.pages.values():
-            for label in page:
-                if label is not None:
-                    yield label
-
-    def items(self):
-        for idx, page in self.pages.items():
-            base = idx << PAGE_SHIFT
-            for slot, label in enumerate(page):
-                if label is not None:
-                    yield base + slot, label
-
-    def keys(self):
-        for addr, _ in self.items():
-            yield addr
-
-    __iter__ = keys
-
-    # -- bulk operations -------------------------------------------------
-    def clear_range(self, base: int, size: int) -> None:
-        """Untaint ``[base, base+size)``; full pages are dropped whole."""
-        if size <= 0 or not self.pages:
-            return
-        end = base + size
-        first = base >> PAGE_SHIFT
-        last = (end - 1) >> PAGE_SHIFT
-        if last - first + 1 <= len(self.pages):
-            touched = [i for i in range(first, last + 1) if i in self.pages]
-        else:
-            touched = [i for i in self.pages if first <= i <= last]
-        for idx in touched:
-            page_base = idx << PAGE_SHIFT
-            lo = max(0, base - page_base)
-            hi = min(PAGE_SIZE, end - page_base)
-            if lo == 0 and hi == PAGE_SIZE:
-                self.total -= self.counts.pop(idx)
-                del self.pages[idx]
-                continue
-            page = self.pages[idx]
-            cleared = 0
-            for slot in range(lo, hi):
-                if page[slot] is not None:
-                    page[slot] = None
-                    cleared += 1
-            if cleared:
-                remaining = self.counts[idx] - cleared
-                self.total -= cleared
-                if remaining == 0:
-                    del self.pages[idx]
-                    del self.counts[idx]
-                else:
-                    self.counts[idx] = remaining
-
-    def copy(self) -> "PagedLabelStore":
-        new = PagedLabelStore.__new__(PagedLabelStore)
-        new.pages = {idx: page.copy() for idx, page in self.pages.items()}
-        new.counts = dict(self.counts)
-        new.total = self.total
-        new.pages_allocated = self.pages_allocated
-        return new
-
-    def as_dict(self) -> dict[int, object]:
-        return dict(self.items())
-
-
 class ArrayLabelStore:
     """Sparse address -> label map over numpy int64 label pages.
 
-    Same page geometry and mapping surface as :class:`PagedLabelStore`,
-    but each page is one ``int64`` word per cell (``-1`` = untainted;
+    Pages of :data:`PAGE_SIZE` cells, allocated on first taint, with
+    the dict mapping surface; each page is one ``int64`` word per cell
+    (``-1`` = untainted;
     the sentinel cannot be 0 because pc 0 is a valid last-writer
     label).  Only scalar-encodable labels fit: ``True`` for the bool
     policy, the non-negative writer pc for the PC policy — exactly the
@@ -253,7 +115,7 @@ class ArrayLabelStore:
         return self.total
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (ArrayLabelStore, PagedLabelStore)):
+        if isinstance(other, ArrayLabelStore):
             return self.total == len(other) and dict(self.items()) == dict(other.items())
         if isinstance(other, dict):
             return dict(self.items()) == other
@@ -345,20 +207,17 @@ class ShadowState:
         policy: TaintPolicy,
         regs: dict[tuple[int, int], object] | None = None,
         mem=None,
-        paged: bool | None = None,
         array: bool = False,
     ):
         self.policy = policy
         #: (tid, reg) -> label, only for tainted registers.
         self.regs: dict[tuple[int, int], object] = {} if regs is None else regs
-        #: address -> label, only for tainted cells (dict, paged or array
-        #: store — ``array=True`` requires numpy and a scalar-encodable
-        #: policy, which the engine's kernel resolution guarantees).
+        #: address -> label, only for tainted cells (dict or array store —
+        #: ``array=True`` requires numpy and a scalar-encodable policy,
+        #: which the engine's kernel resolution guarantees).
         if mem is None:
             if array and fastpath_config.numpy_available():
                 mem = ArrayLabelStore(pc_labels=type(policy) is PCTaintPolicy)
-            elif fastpath_config.resolve(paged, "paged_shadow"):
-                mem = PagedLabelStore()
             else:
                 mem = {}
         self.mem = mem
@@ -397,7 +256,7 @@ class ShadowState:
         """Untaint ``[base, base+size)`` (used when blocks are freed).
 
         One pass over ``min(range size, tainted cells)`` entries: the
-        paged store sweeps only materialized pages, and the dict backend
+        array store sweeps only materialized pages, and the dict backend
         switches to scanning its keys when the range is wider than the
         tainted set — clearing a huge range that overlaps mostly
         untainted holes no longer visits every hole.

@@ -3,78 +3,56 @@
 The paper's whole argument is that tracing can be cheap *without
 changing what is traced*: ONTRAC's compression and inference shrink the
 stored stream but the dependences it answers queries about are the same
-ones the naive tracer would have stored.  This module applies the same
-discipline to the reproduction's own hot loops: each flag switches an
-implementation strategy, never a semantic.  A run with every flag off
-and a run with every flag on must be bit-identical — same modeled
-cycles, same dependence graphs, same taint sets — which is exactly what
-``tests/test_fastpath_differential.py`` proves.
+ones the naive tracer would have stored.  This module holds the few
+switches that still choose between implementations of the same
+semantics.  Each execution layer has exactly one production
+implementation — the precompiled VM dispatch closures
+(:mod:`repro.vm.dispatch`), the packed columnar dependence store
+(:class:`~repro.ontrac.packed.PackedTraceBuffer`) and the DIFT shadow —
+and the tests check each against an independent oracle: a hooked run
+against a plain run, ONTRAC graphs and slices against the offline
+tracer (:mod:`repro.ontrac.offline`) and the packed buffer against
+:class:`~repro.ontrac.buffer.TraceBuffer` + :func:`~repro.ontrac.ddg.build_ddg`,
+and the array kernel against :class:`~repro.dift.kernel.ReferenceKernel`
+(see ``tests/test_fastpath_differential.py``).
 
-Flags (all default **on**):
+Flags:
 
-``vm_dispatch``
-    Precompile every :class:`~repro.isa.instructions.Instruction` into
-    a dispatch-table closure at machine construction, hoisting the
-    opcode ``if/elif`` chain, operand decoding and cost lookup out of
-    the per-instruction step.
-``intern_records``
-    Intern :class:`~repro.ontrac.records.DepRecord` templates per
-    static instruction and delta-encode the per-instance fields, so the
-    tracer stops re-allocating six-field frozen dataclasses for every
-    repeated dynamic dependence.
-``paged_shadow``
-    Back shadow memory with 4 KiB label pages (and a shared notion of
-    the all-clear page: absent pages read as untainted) instead of one
-    flat per-address dict, so ``clear_range``/``snapshot`` work per
-    page instead of per cell.
-``packed_store``
-    Store dependence records in the columnar packed trace buffer
-    (:class:`~repro.ontrac.packed.PackedTraceBuffer`): fixed-width
-    array columns appended into a ring of preallocated chunk arrays
-    instead of one Python object per record, with the indexed slicing
-    engine (:mod:`repro.slicing.engine`) answering queries straight
-    off the packed columns.  Subsumes ``intern_records`` when on (no
-    record objects exist to intern); turn it off to exercise the
-    legacy object-deque store.
-``parallel_batch``
-    Batch the out-of-process DIFT helper's shared-memory channel
-    (:class:`repro.multicore.parallel.ParallelHelperDIFT`): flush
-    :func:`parallel_batch_size` messages per ring publish instead of
-    one, amortizing the IPC cost.  **Default off** — the unbatched
-    channel publishes every message immediately, so nothing about the
-    modeled-cycle timelines or the per-message ordering ever depends
-    on a host-side batching knob, and bit-identity of the simulated
-    helper stays trivially preserved.
-``array_kernel``
+``array_kernel`` (default on)
     Run DIFT propagation through the vectorized batch kernel
     (:class:`repro.dift.kernel.ArrayKernel`): packed 24-byte records
     are decoded with numpy, a conservative location-key fixpoint
     selects the records that can touch taint, and only those replay
     through the per-record reference logic, with the untouched bulk
-    accounted in O(1).  Falls back to the pure-python
+    accounted in O(1).  Shadow memory then lives in
+    :class:`~repro.dift.shadow.ArrayLabelStore`; otherwise it is a
+    plain dict.  Falls back to the pure-python
     :class:`~repro.dift.kernel.ReferenceKernel` when numpy is missing
     or the policy is not array-encodable (see
     :func:`propagation_kernel`).
-
-Resolution order: explicit argument > process-wide override
-(:func:`configure` / :func:`overridden`) > environment
-(``REPRO_FASTPATH=0`` kills everything; ``REPRO_FASTPATH_VM``,
-``REPRO_FASTPATH_ONTRAC``, ``REPRO_FASTPATH_SHADOW``,
-``REPRO_FASTPATH_PACKED`` toggle one;
-``REPRO_FASTPATH_KERNEL=reference|array`` picks the propagation
-kernel and ``REPRO_FASTPATH_KERNEL_BATCH`` the records-per-batch;
-``REPRO_FASTPATH_PARALLEL`` opts in to channel batching and
-``REPRO_FASTPATH_PARALLEL_BATCH`` sets the messages-per-flush;
-``REPRO_FASTPATH_SUMMARIES`` opts in to function-summary DIFT) >
-defaults (the implementation flags on, batching and summaries off).
-
-``summaries``
+``parallel_batch`` (default off)
+    Batch the out-of-process DIFT helper's shared-memory channel
+    (:class:`repro.multicore.parallel.ParallelHelperDIFT`): flush
+    :func:`parallel_batch_size` messages per ring publish instead of
+    one, amortizing the IPC cost.  Off by default so nothing about the
+    modeled-cycle timelines or the per-message ordering depends on a
+    host-side batching knob.
+``summaries`` (default off)
     Function-summary DIFT (:mod:`repro.dift.summaries`): the first
     execution of a CALL-delimited region is distilled into a taint
     transfer summary; later calls with a matching footprint apply it
     in O(footprint) and skip instruction-level propagation, with
     automatic invalidation + bounded re-learning on divergence.
-    **Default off** (opt-in like ``parallel_batch``) until proven.
+
+Resolution order: explicit argument > process-wide override
+(:func:`configure` / :func:`overridden`) > environment
+(``REPRO_FASTPATH_KERNEL=reference|array`` picks the propagation
+kernel — ``reference`` is the one way to force the oracle kernel —
+and ``REPRO_FASTPATH_KERNEL_BATCH`` the records-per-batch;
+``REPRO_FASTPATH_PARALLEL`` opts in to channel batching and
+``REPRO_FASTPATH_PARALLEL_BATCH`` sets the messages-per-flush;
+``REPRO_FASTPATH_SUMMARIES`` opts in to function-summary DIFT) >
+defaults.
 """
 
 from __future__ import annotations
@@ -88,42 +66,13 @@ from dataclasses import dataclass, replace
 class FastPathConfig:
     """Which fast-path implementations to use; see the module docstring."""
 
-    vm_dispatch: bool = True
-    intern_records: bool = True
-    paged_shadow: bool = True
-    #: columnar packed dependence store + indexed slicing engine.
-    packed_store: bool = True
-    #: batch the parallel helper's shared-memory channel (default off).
-    parallel_batch: bool = False
     #: vectorized batch propagation kernel (numpy; auto-falls back).
     array_kernel: bool = True
+    #: batch the parallel helper's shared-memory channel (default off).
+    parallel_batch: bool = False
     #: function-summary DIFT: learn per-call taint transfer functions
-    #: and replay them in O(footprint) (default off until proven).
+    #: and replay them in O(footprint) (default off).
     summaries: bool = False
-
-    @classmethod
-    def all_on(cls) -> "FastPathConfig":
-        return cls(
-            vm_dispatch=True,
-            intern_records=True,
-            paged_shadow=True,
-            packed_store=True,
-            parallel_batch=True,
-            array_kernel=True,
-            summaries=True,
-        )
-
-    @classmethod
-    def all_off(cls) -> "FastPathConfig":
-        return cls(
-            vm_dispatch=False,
-            intern_records=False,
-            paged_shadow=False,
-            packed_store=False,
-            parallel_batch=False,
-            array_kernel=False,
-            summaries=False,
-        )
 
 
 def _env_bool(name: str, default: bool) -> bool:
@@ -133,14 +82,14 @@ def _env_bool(name: str, default: bool) -> bool:
     return raw.strip().lower() not in ("0", "false", "no", "off", "")
 
 
-def _env_kernel(master: bool) -> bool:
+def _env_kernel() -> bool:
     """``REPRO_FASTPATH_KERNEL=reference|array`` as the array-kernel bool."""
     raw = os.environ.get("REPRO_FASTPATH_KERNEL")
     if raw is None:
-        return master
+        return True
     value = raw.strip().lower()
     if value in ("array", "1", "true", "yes", "on"):
-        return master
+        return True
     if value in ("reference", "0", "false", "no", "off", ""):
         return False
     raise ValueError(
@@ -150,18 +99,10 @@ def _env_kernel(master: bool) -> bool:
 
 def from_env() -> FastPathConfig:
     """Build the config the environment asks for."""
-    master = _env_bool("REPRO_FASTPATH", True)
     return FastPathConfig(
-        vm_dispatch=_env_bool("REPRO_FASTPATH_VM", master),
-        intern_records=_env_bool("REPRO_FASTPATH_ONTRAC", master),
-        paged_shadow=_env_bool("REPRO_FASTPATH_SHADOW", master),
-        packed_store=_env_bool("REPRO_FASTPATH_PACKED", master),
-        # Unlike the implementation flags, batching is opt-in: the master
-        # switch can only force it off, never on.
-        parallel_batch=master and _env_bool("REPRO_FASTPATH_PARALLEL", False),
-        array_kernel=_env_kernel(master),
-        # Summaries are opt-in the same way while they prove out.
-        summaries=master and _env_bool("REPRO_FASTPATH_SUMMARIES", False),
+        array_kernel=_env_kernel(),
+        parallel_batch=_env_bool("REPRO_FASTPATH_PARALLEL", False),
+        summaries=_env_bool("REPRO_FASTPATH_SUMMARIES", False),
     )
 
 
@@ -403,18 +344,6 @@ def resolve(flag: bool | None, name: str) -> bool:
     return flag
 
 
-def resolve_config(config: "FastPathConfig | bool | None") -> FastPathConfig:
-    """Resolve a whole-config override: True/False switch everything,
-    None falls back to the process-wide config."""
-    if config is None:
-        return current()
-    if config is True:
-        return FastPathConfig.all_on()
-    if config is False:
-        return FastPathConfig.all_off()
-    return config
-
-
 __all__ = [
     "DEFAULT_KERNEL_BATCH",
     "DEFAULT_PARALLEL_BATCH",
@@ -432,7 +361,6 @@ __all__ = [
     "propagation_kernel",
     "replace",
     "resolve",
-    "resolve_config",
     "service_async_enabled",
     "service_degrade_enabled",
     "service_lake_enabled",

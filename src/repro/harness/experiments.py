@@ -636,103 +636,6 @@ def run_e12(scale: int = 1) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Fast path — wall-clock speedup of the implementation, not a paper claim
-# ---------------------------------------------------------------------------
-def run_fastpath(scale: int = 1, repeats: int = 5) -> ExperimentResult:
-    """Wall-clock cost of the E1 ONTRAC workload suite with the fast
-    execution path off vs on (``repro.fastpath`` flags).
-
-    The modeled cycle counts and the stored record stream are asserted
-    identical between the two configurations on every workload — the
-    speedup is purely host-side implementation efficiency, never a
-    change in what the simulation computes.  Per-side times are the min
-    over ``repeats`` runs to suppress host timing noise.
-    """
-    import time
-
-    from .. import fastpath
-    from ..fastpath import FastPathConfig
-
-    result = ExperimentResult(
-        experiment="fastpath",
-        claim="fast execution path >=2x wall-clock on traced suite, bit-identical",
-        headers=["workload", "off s", "on s", "speedup", "identical"],
-    )
-
-    workloads = suite(scale)  # compiled once; timing covers execution only
-
-    def digest(tracer, res):
-        return (
-            res.cycles.total,
-            res.instructions,
-            tracer.stats.stored_bytes,
-            dict(tracer.stats.stored),
-            dict(tracer.stats.skipped),
-            [
-                (r.kind, r.consumer_seq, r.consumer_pc, r.producer_seq, r.producer_pc, r.tid)
-                for r in tracer.buffer.records
-            ],
-        )
-
-    def side(config):
-        """min-over-repeats time of one full traced pass over the suite."""
-        best_total, best_times, digests, tracers = float("inf"), None, None, None
-        with fastpath.overridden(config):
-            for _ in range(repeats):
-                pass_times, pass_digests, pass_tracers = [], [], []
-                for w in workloads:
-                    runner = w.runner()
-                    t0 = time.perf_counter()
-                    _, tracer, res = runner.run_traced(OntracConfig())
-                    pass_times.append(time.perf_counter() - t0)
-                    pass_digests.append(digest(tracer, res))
-                    pass_tracers.append(tracer)
-                total = sum(pass_times)
-                if total < best_total:
-                    best_total, best_times = total, pass_times
-                    digests, tracers = pass_digests, pass_tracers
-        return best_total, best_times, digests, tracers
-
-    off_total, off_times, off_digests, _ = side(FastPathConfig.all_off())
-    on_total, on_times, on_digests, tracers = side(FastPathConfig.all_on())
-    all_identical = True
-    for w, off_s, on_s, off_d, on_d in zip(
-        workloads, off_times, on_times, off_digests, on_digests
-    ):
-        identical = off_d == on_d
-        all_identical = all_identical and identical
-        result.rows.append([w.name, off_s, on_s, off_s / on_s, identical])
-    if not all_identical:
-        result.notes = "BIT-IDENTITY VIOLATED — fast path changed observables"
-    result.rows.append(["suite pass", off_total, on_total, off_total / on_total, ""])
-
-    registry = MetricsRegistry()
-    for tracer in tracers:
-        tracer.publish_telemetry(registry)
-
-    # One instrumented run so the introspection counters land in metrics
-    # (dispatch hits from the VM, page counts from a paged DIFT shadow).
-    with fastpath.overridden(FastPathConfig.all_on()):
-        from ..telemetry import Telemetry
-
-        telemetry = Telemetry(registry=registry)
-        runner = workloads[0].runner()
-        runner.telemetry = telemetry
-        m = runner.machine()
-        engine = DIFTEngine(BoolTaintPolicy()).attach(m)
-        m.run(max_instructions=runner.max_instructions)
-        engine.publish_telemetry(registry)
-
-    result.headline = {
-        "traced_suite_speedup": off_total / on_total,
-        "target_speedup": 2.0,
-        "bit_identical": float(all_identical),
-    }
-    result.metrics = registry.flat()
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Batch propagation kernel — array vs reference throughput, bit-identical
 # ---------------------------------------------------------------------------
 def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
@@ -1011,29 +914,34 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     """Backward-slicing wall clock and trace-store residency with the
-    packed columnar store + indexed engine vs the legacy object-deque
-    DDG pipeline.
+    packed columnar store + indexed engine vs the record-object oracle
+    (:class:`~repro.ontrac.buffer.TraceBuffer` +
+    :func:`~repro.ontrac.ddg.build_ddg` + the BFS slicer).
 
-    Both sides trace every suite workload with an identical
-    ``OntracConfig`` (only ``packed_store`` differs) and answer the same
+    Each suite workload is traced once; the oracle side is a
+    ``TraceBuffer`` of :class:`~repro.ontrac.records.DepRecord` objects
+    built from the very same packed rows.  Both sides answer the same
     deterministic criterion batch — a spread of dynamic instances, each
     queried twice, the fault-localization access pattern the closure
     memo exists for.  Every slice's (seqs, pcs, truncated) triple is
     asserted equal between the sides, so the speedup column can never
     hide a semantic difference.  The timed region is graph construction
     plus the query batch: that is what `slice`/fault-localization
-    callers actually pay, and it is where the legacy path loses (one
-    DDGNode + edge-list entry per record before the first query).
+    callers actually pay, and it is where the record-object pipeline
+    loses (one DDGNode + edge-list entry per record before the first
+    query).
 
     Residency is measured, not modeled: tracemalloc's traced delta from
-    freeing the trace store after a run (records + interner templates on
-    the legacy side, column chunks on the packed side) at equal window
-    — the implementation-metric counterpart to the paper's modeled
+    freeing each store (record objects on the oracle side, column
+    chunks on the packed side) at equal window — the
+    implementation-metric counterpart to the paper's modeled
     ``bytes_per_instruction`` (see EXPERIMENTS.md).
     """
     import gc
     import time
     import tracemalloc
+
+    from ..ontrac import DepRecord, TraceBuffer, build_ddg
 
     result = ExperimentResult(
         experiment="slicing",
@@ -1046,10 +954,20 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     workloads = suite(scale)
     n_criteria = 24
 
-    def traced(w, packed):
+    def traced(w):
         runner = w.runner()
-        _, tracer, _ = runner.run_traced(OntracConfig(packed_store=packed))
+        _, tracer, _ = runner.run_traced(OntracConfig())
         return tracer
+
+    def legacy_store(tracer):
+        """The tracer's packed rows as a TraceBuffer of DepRecords."""
+        buf = TraceBuffer(tracer.buffer.capacity_bytes)
+        for r in tracer.buffer.records:
+            buf.append(
+                DepRecord(r.kind, r.consumer_seq, r.consumer_pc,
+                          r.producer_seq, r.producer_pc, r.tid)
+            )
+        return buf
 
     def criteria_of(ddg):
         seqs = sorted(s for s, _ in ddg.node_items())
@@ -1060,11 +978,11 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
             picked = list(seqs)
         return picked + picked  # repeated criteria exercise the memo
 
-    def slice_pass(tracer, crits):
+    def slice_pass(make_ddg, crits):
         """One timed graph-construction + query batch; returns the
         elapsed time, the comparable slice states, and the DDG."""
         t0 = time.perf_counter()
-        ddg = tracer.dependence_graph()
+        ddg = make_ddg()
         slices = [backward_slice(ddg, c) for c in crits]
         elapsed = time.perf_counter() - t0
         states = [
@@ -1073,23 +991,18 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
         ]
         return elapsed, states, ddg
 
-    def resident_store_bytes(w, packed):
-        """tracemalloc delta from freeing the trace store post-run."""
+    def measured(build, free):
+        """tracemalloc delta from freeing what ``build()`` allocated."""
         gc.collect()
         tracemalloc.start()
-        tracer = traced(w, packed)
+        store = build()
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        if packed:
-            tracer.buffer.release()
-        else:
-            tracer.buffer.records.clear()
-            if tracer._interner is not None:
-                tracer._interner.templates.clear()
+        free(store)
         gc.collect()
         after = tracemalloc.get_traced_memory()[0]
         tracemalloc.stop()
-        return max(before - after, 1), max(tracer.stats.instructions, 1)
+        return max(before - after, 1), store
 
     registry = MetricsRegistry()
     legacy_total = packed_total = 0.0
@@ -1098,20 +1011,23 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     modeled_bytes = 0
     all_identical = True
     for w in workloads:
-        legacy_tracer = traced(w, packed=False)
-        packed_tracer = traced(w, packed=True)
+        packed_tracer = traced(w)
+        legacy = legacy_store(packed_tracer)
+        complete = packed_tracer.buffer.stats.evicted == 0
         # The criterion batch is picked outside the timed region (it is
         # workload state, not slicing work) and must agree across sides.
-        crits = criteria_of(legacy_tracer.dependence_graph())
+        crits = criteria_of(build_ddg(legacy, complete=complete))
         assert crits == criteria_of(packed_tracer.dependence_graph())
         best_legacy = best_packed = float("inf")
         legacy_states = packed_states = None
         packed_ddg = None
         for _ in range(repeats):
-            elapsed, states, _ = slice_pass(legacy_tracer, crits)
+            elapsed, states, _ = slice_pass(
+                lambda: build_ddg(legacy, complete=complete), crits
+            )
             if elapsed < best_legacy:
                 best_legacy, legacy_states = elapsed, states
-            elapsed, states, ddg = slice_pass(packed_tracer, crits)
+            elapsed, states, ddg = slice_pass(packed_tracer.dependence_graph, crits)
             if elapsed < best_packed:
                 best_packed, packed_states = elapsed, states
                 packed_ddg = ddg
@@ -1125,11 +1041,14 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
         packed_ddg.publish_telemetry(registry)
         packed_tracer.publish_telemetry(registry)
         modeled_bytes += packed_tracer.stats.stored_bytes
-        lb, instrs = resident_store_bytes(w, packed=False)
-        pb, _ = resident_store_bytes(w, packed=True)
+        del legacy
+        lb, _ = measured(
+            lambda: legacy_store(packed_tracer), lambda b: b.records.clear()
+        )
+        pb, _ = measured(lambda: traced(w), lambda t: t.buffer.release())
         legacy_resident += lb
         packed_resident += pb
-        instructions_total += instrs
+        instructions_total += max(packed_tracer.stats.instructions, 1)
     result.rows.append(
         ["suite pass", legacy_total, packed_total, legacy_total / packed_total, ""]
     )
@@ -1143,7 +1062,7 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
         ]
     )
     if not all_identical:
-        result.notes = "SLICE MISMATCH — packed store diverged from legacy slices"
+        result.notes = "SLICE MISMATCH — packed store diverged from the record-object oracle"
     result.headline = {
         "slice_speedup": legacy_total / packed_total,
         "target_speedup": 3.0,
@@ -1990,7 +1909,6 @@ ALL_EXPERIMENTS = {
 #: named experiments outside the E1..E12 paper-claim set (selectable by
 #: id through the CLI and run_experiment, excluded from the default sweep).
 EXTRA_EXPERIMENTS = {
-    "fastpath": run_fastpath,
     "kernel": run_kernel,
     "slicing": run_slicing,
     "summaries": run_summaries,

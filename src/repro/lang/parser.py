@@ -26,6 +26,8 @@ catches ``==`` vs ``=`` typos in workloads.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from . import ast_nodes as ast
 from .errors import CompileError
 from .lexer import Token, TokKind, tokenize
@@ -53,10 +55,29 @@ _PRECEDENCE = {
 }
 
 
+#: deepest nesting the front end accepts, counted both as parser
+#: recursion (parentheses, unary operators, blocks) and as syntax-tree
+#: depth (operator chains, nested statements).  The parser and the code
+#: generator recurse a few Python frames per level, so the bound keeps
+#: any source — a service job's included — well inside Python's
+#: recursion limit and answers it with a CompileError instead.
+MAX_NESTING = 128
+
+
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self._nesting = 0
+
+    def _enter(self) -> None:
+        """One more level of recursive descent; bounded by MAX_NESTING.
+        (Callers decrement on return; an error abandons the parser.)"""
+        self._nesting += 1
+        if self._nesting > MAX_NESTING:
+            raise CompileError(
+                f"nesting deeper than {MAX_NESTING} levels", self.cur.line, self.cur.col
+            )
 
     # -- token helpers ------------------------------------------------
     @property
@@ -158,6 +179,7 @@ class Parser:
 
     # -- statements ----------------------------------------------------------
     def parse_block(self) -> list:
+        self._enter()
         self.expect("{")
         stmts = []
         while not self.check("}"):
@@ -165,6 +187,7 @@ class Parser:
                 raise CompileError("unterminated block", self.cur.line, self.cur.col)
             stmts.append(self.parse_stmt())
         self.expect("}")
+        self._nesting -= 1
         return stmts
 
     def parse_stmt(self) -> ast.Stmt:
@@ -215,6 +238,7 @@ class Parser:
         return stmt
 
     def parse_if(self) -> ast.If:
+        self._enter()
         tok = self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
@@ -226,6 +250,7 @@ class Parser:
                 otherwise = [self.parse_if()]
             else:
                 otherwise = self.parse_block()
+        self._nesting -= 1
         return ast.If(line=tok.line, cond=cond, then=then, otherwise=otherwise)
 
     def parse_for_init(self) -> ast.Stmt:
@@ -255,11 +280,13 @@ class Parser:
 
     # -- expressions ------------------------------------------------------------
     def parse_expr(self, min_prec: int = 1) -> ast.Expr:
+        self._enter()
         left = self.parse_unary()
         while True:
             op = self.cur.text
             prec = _PRECEDENCE.get(op) if self.cur.kind is TokKind.OP else None
             if prec is None or prec < min_prec:
+                self._nesting -= 1
                 return left
             line = self.advance().line
             right = self.parse_expr(prec + 1)
@@ -267,12 +294,12 @@ class Parser:
 
     def parse_unary(self) -> ast.Expr:
         tok = self.cur
-        if self.check("-"):
+        if self.check("-") or self.check("!"):
+            self._enter()
             self.advance()
-            return ast.Unary(line=tok.line, op="-", operand=self.parse_unary())
-        if self.check("!"):
-            self.advance()
-            return ast.Unary(line=tok.line, op="!", operand=self.parse_unary())
+            operand = self.parse_unary()
+            self._nesting -= 1
+            return ast.Unary(line=tok.line, op=tok.text, operand=operand)
         return self.parse_postfix()
 
     def parse_postfix(self) -> ast.Expr:
@@ -308,6 +335,25 @@ class Parser:
         raise CompileError(f"unexpected token {tok.text or 'EOF'!r}", tok.line, tok.col)
 
 
+def _check_nesting(module: ast.Module) -> None:
+    """Reject syntax trees deeper than :data:`MAX_NESTING` (a long
+    operator chain parses in a loop but still builds a deep tree).
+    Walks with an explicit stack, so the check itself cannot recurse."""
+    stack: list[tuple[ast.Node, int]] = [(module, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise CompileError(f"nesting deeper than {MAX_NESTING} levels", node.line)
+        for f in fields(node):
+            value = getattr(node, f.name)
+            children = value if isinstance(value, list) else (value,)
+            for child in children:
+                if isinstance(child, ast.Node):
+                    stack.append((child, depth + 1))
+
+
 def parse(source: str) -> ast.Module:
     """Parse MiniC source into a :class:`repro.lang.ast_nodes.Module`."""
-    return Parser(tokenize(source)).parse_module()
+    module = Parser(tokenize(source)).parse_module()
+    _check_nesting(module)
+    return module

@@ -16,9 +16,6 @@ from .records import (
     TRACE_FORMATION_BYTES,
     DepKind,
     DepRecord,
-    InternedDepRecord,
-    RecordInterner,
-    RecordTemplate,
 )
 from .tracer import SUMMARY_FANIN_CAP, OnlineTracer, OntracConfig, OntracStats
 
@@ -42,9 +39,6 @@ __all__ = [
     "TRACE_FORMATION_BYTES",
     "DepKind",
     "DepRecord",
-    "InternedDepRecord",
-    "RecordInterner",
-    "RecordTemplate",
     "SUMMARY_FANIN_CAP",
     "OnlineTracer",
     "OntracConfig",

@@ -1,10 +1,10 @@
-"""Columnar packed dependence store (the tentpole of the packed-store
-fast path).
+"""Columnar packed dependence store — the tracer's only store.
 
-:class:`~repro.ontrac.buffer.TraceBuffer` keeps one Python object per
-dependence — ~56+ real bytes for a 3-slot :class:`InternedDepRecord`
-plus its boxed sequence number and deque cell, roughly 15x the modeled
-wire size the paper's figures are about.  This module stores the same
+:class:`~repro.ontrac.buffer.TraceBuffer`, the record-object oracle the
+tests check this store against, keeps one Python object per dependence
+— a :class:`~repro.ontrac.records.DepRecord` plus its boxed sequence
+numbers and deque cell, many times the modeled wire size the paper's
+figures are about.  This module stores the same
 stream as fixed-width **columns**: per row one kind byte, a 32-bit
 consumer-seq offset against the chunk base, 16-bit consumer/producer
 pcs (static instruction indices), a 32-bit producer-seq delta and a

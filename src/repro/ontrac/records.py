@@ -32,7 +32,7 @@ from dataclasses import dataclass
 class DepKind(enum.Enum):
     # Members are singletons and enums compare by identity, so identity
     # hashing is equivalent to Enum's name-based hash — but resolves at
-    # C speed in the interner's and RECORD_BYTES' dict lookups.
+    # C speed in the KIND_CODES and RECORD_BYTES dict lookups.
     __hash__ = object.__hash__
 
     INSTR = "instr"  # naive-mode per-instruction record
@@ -107,109 +107,3 @@ class DepRecord:
             f"{self.kind.value}: {self.consumer_seq}(pc={self.consumer_pc})"
             f" -> {self.producer_seq}(pc={self.producer_pc})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Fast path: interned templates + delta-encoded instances
-# ---------------------------------------------------------------------------
-#
-# A hot loop stores the same *static* dependence over and over: same
-# consumer pc, same producer pc, same kind, same thread — only the two
-# dynamic sequence numbers move.  That static part is the "template"
-# (the same observation behind ONTRAC's inference: repeated dynamic
-# dependences are determined by the code), so the fast tracer interns
-# one template per static dependence site and each stored record keeps
-# just a template pointer, its consumer seq, and the delta to its
-# producer seq — mirroring the modeled delta encoding in RECORD_BYTES.
-
-
-class RecordTemplate:
-    """The static part of a dependence, shared by every instance."""
-
-    __slots__ = ("kind", "kind_value", "consumer_pc", "producer_pc", "tid", "bytes")
-
-    def __init__(self, kind: DepKind, consumer_pc: int, producer_pc: int, tid: int):
-        self.kind = kind
-        self.kind_value = kind.value
-        self.consumer_pc = consumer_pc
-        self.producer_pc = producer_pc
-        self.tid = tid
-        self.bytes = RECORD_BYTES[kind]
-
-
-class InternedDepRecord:
-    """One dependence instance over an interned template.
-
-    Read-compatible with :class:`DepRecord` (same attribute API), but
-    construction touches three slots instead of six frozen-dataclass
-    fields; everything static reads through the shared template (the
-    fast append path charges ``template.bytes`` directly, so the
-    per-record properties only run in post-run analysis).
-    """
-
-    __slots__ = ("template", "consumer_seq", "producer_delta")
-
-    def __init__(self, template: RecordTemplate, consumer_seq: int, producer_delta: int):
-        self.template = template
-        self.consumer_seq = consumer_seq
-        self.producer_delta = producer_delta
-
-    @property
-    def kind(self) -> DepKind:
-        return self.template.kind
-
-    @property
-    def bytes(self) -> int:
-        return self.template.bytes
-
-    @property
-    def consumer_pc(self) -> int:
-        return self.template.consumer_pc
-
-    @property
-    def producer_seq(self) -> int:
-        return self.consumer_seq - self.producer_delta
-
-    @property
-    def producer_pc(self) -> int:
-        return self.template.producer_pc
-
-    @property
-    def tid(self) -> int:
-        return self.template.tid
-
-    def __str__(self) -> str:
-        kind = self.kind
-        if kind in (DepKind.INSTR, DepKind.BRANCH):
-            return f"{kind.value}@{self.consumer_seq}(pc={self.consumer_pc})"
-        return (
-            f"{kind.value}: {self.consumer_seq}(pc={self.consumer_pc})"
-            f" -> {self.producer_seq}(pc={self.producer_pc})"
-        )
-
-
-class RecordInterner:
-    """Per-static-site template cache; call it like the DepRecord ctor."""
-
-    __slots__ = ("templates", "hits")
-
-    def __init__(self) -> None:
-        self.templates: dict[tuple, RecordTemplate] = {}
-        self.hits = 0
-
-    def __call__(
-        self,
-        kind: DepKind,
-        consumer_seq: int,
-        consumer_pc: int,
-        producer_seq: int = -1,
-        producer_pc: int = -1,
-        tid: int = 0,
-    ) -> InternedDepRecord:
-        key = (kind, consumer_pc, producer_pc, tid)
-        template = self.templates.get(key)
-        if template is None:
-            template = self.templates[key] = RecordTemplate(kind, consumer_pc, producer_pc, tid)
-        else:
-            self.hits += 1
-        return InternedDepRecord(template, consumer_seq, consumer_seq - producer_seq)

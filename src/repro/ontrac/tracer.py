@@ -39,25 +39,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import fastpath as fastpath_config
 from ..isa.cfg import build_cfgs
 from ..isa.instructions import Opcode
 from ..isa.program import Program
 from ..vm.events import Hook, InstrEvent
 from ..vm.machine import Machine
-from .buffer import TraceBuffer
 from .control_dep import ControlDependenceTracker
-from .ddg import DynamicDependenceGraph, build_ddg
 from .packed import PackedDDG, PackedTraceBuffer
-from .records import (
-    KIND_CODES,
-    TRACE_FORMATION_BYTES,
-    DepKind,
-    DepRecord,
-    InternedDepRecord,
-    RecordInterner,
-    RecordTemplate,
-)
+from .records import KIND_CODES, TRACE_FORMATION_BYTES, DepKind
 
 #: cap on how many traced ancestors an untraced-code summary carries.
 SUMMARY_FANIN_CAP = 16
@@ -80,24 +69,11 @@ class OntracConfig:
     charge_overhead: bool = True
     stub_cycles: int = 25
     cycles_per_byte: int = 3
-    #: fast path: intern record templates per static dependence site.
-    #: None defers to the process-wide repro.fastpath config (default on).
-    #: Purely an allocation strategy — stored records, bytes and graphs
-    #: are identical either way.
-    intern_records: bool | None = None
-    #: fast path: store dependences in the columnar packed buffer
-    #: (:class:`~repro.ontrac.packed.PackedTraceBuffer`) and answer
-    #: queries via the indexed slicing engine.  None defers to the
-    #: process-wide repro.fastpath config (default on).  Subsumes
-    #: ``intern_records`` (no record objects exist to intern); again a
-    #: pure storage strategy — stored rows, modeled bytes and graphs
-    #: are identical to the legacy deque.
-    packed_store: bool | None = None
     #: spill sink (trace lake): when set, sealed packed chunks are
     #: appended to this file as the run executes so the full stream
     #: survives the process (even a SIGKILLed one — the readable
-    #: prefix recovers).  Requires the packed store; the hot emit path
-    #: is unchanged (spilling happens only when a chunk seals).  Seal
+    #: prefix recovers).  The hot emit path is unchanged (spilling
+    #: happens only when a chunk seals).  Seal
     #: with :meth:`OnlineTracer.finish_spill` (the runner does this
     #: automatically after a traced run).
     spill_path: str | None = None
@@ -155,38 +131,16 @@ class OnlineTracer(Hook):
         self.config = config or OntracConfig()
         self.stats = OntracStats()
         self.machine: Machine | None = None
-        # Storage strategy: the packed columnar store subsumes record
-        # interning (there are no record objects left to intern); the
-        # legacy deque picks between the interner and plain DepRecords.
-        self._packed = fastpath_config.resolve(self.config.packed_store, "packed_store")
-        if self.config.spill_path and not self._packed:
-            raise ValueError("spill_path requires the packed store")
-        if self._packed:
-            if self.config.spill_path:
-                # Local import: repro.lake sits above ontrac in the
-                # layering and is only needed when spilling is on.
-                from ..lake.format import SpillingPackedTraceBuffer
+        if self.config.spill_path:
+            # Local import: repro.lake sits above ontrac in the layering
+            # and is only needed when spilling is on.
+            from ..lake.format import SpillingPackedTraceBuffer
 
-                self.buffer: TraceBuffer | PackedTraceBuffer = (
-                    SpillingPackedTraceBuffer(
-                        self.config.buffer_bytes, self.config.spill_path
-                    )
-                )
-            else:
-                self.buffer = PackedTraceBuffer(self.config.buffer_bytes)
-            self._interner: RecordInterner | None = None
-            self._rec = DepRecord
-            self._emit = self._emit_packed
+            self.buffer: PackedTraceBuffer = SpillingPackedTraceBuffer(
+                self.config.buffer_bytes, self.config.spill_path
+            )
         else:
-            self.buffer = TraceBuffer(self.config.buffer_bytes)
-            if fastpath_config.resolve(self.config.intern_records, "intern_records"):
-                self._interner = RecordInterner()
-                self._rec = self._interner
-                self._emit = self._emit_fast
-            else:
-                self._interner = None
-                self._rec = DepRecord
-                self._emit = self._emit_slow
+            self.buffer = PackedTraceBuffer(self.config.buffer_bytes)
         # Static structure: block leaders per global pc.
         self._leaders: set[int] = set()
         for cfg in build_cfgs(program).values():
@@ -206,8 +160,7 @@ class OnlineTracer(Hook):
         self._derived_reg: set[tuple[int, int]] = set()
         self._derived_mem: set[int] = set()
         self._last_readers: dict[int, list[tuple[int, int, int]]] = {}
-        if self._packed or self._interner is not None:
-            self._install_fast_hook()
+        self._install_hook()
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, machine: Machine) -> "OnlineTracer":
@@ -224,122 +177,20 @@ class OnlineTracer(Hook):
             return close()
         return None
 
-    def dependence_graph(self) -> DynamicDependenceGraph | PackedDDG:
-        """DDG over the records currently in the buffer.
+    def dependence_graph(self) -> PackedDDG:
+        """DDG over the records currently in the buffer: an O(1)
+        :class:`PackedDDG` view whose queries run straight off the
+        columns (and which materializes the dict-based graph lazily)."""
+        return PackedDDG(self.buffer)
 
-        Packed store: an O(1) :class:`PackedDDG` view whose queries run
-        straight off the columns (and which materializes the legacy
-        dicts lazily).  Legacy store: the materialized graph.
-        """
-        if self._packed:
-            return PackedDDG(self.buffer)
-        return build_ddg(self.buffer, complete=self.buffer.stats.evicted == 0)
+    def _install_hook(self) -> None:
+        """Compile this tracer's ``on_instruction``.
 
-    # -- helpers -------------------------------------------------------------
-    def _store(self, record: DepRecord) -> int:
-        self.buffer.append(record)
-        stats = self.stats
-        stored = stats.stored
-        key = record.kind.value
-        stored[key] = stored.get(key, 0) + 1
-        b = record.bytes
-        stats.stored_bytes += b
-        return b
-
-    def _emit_slow(
-        self,
-        kind: DepKind,
-        consumer_seq: int,
-        consumer_pc: int,
-        producer_seq: int = -1,
-        producer_pc: int = -1,
-        tid: int = 0,
-    ) -> int:
-        """Reference path: a fresh :class:`DepRecord` per dependence."""
-        record = DepRecord(kind, consumer_seq, consumer_pc, producer_seq, producer_pc, tid)
-        self.buffer.append(record)
-        stats = self.stats
-        stored = stats.stored
-        key = kind.value
-        stored[key] = stored.get(key, 0) + 1
-        b = record.bytes
-        stats.stored_bytes += b
-        return b
-
-    def _emit_fast(
-        self,
-        kind: DepKind,
-        consumer_seq: int,
-        consumer_pc: int,
-        producer_seq: int = -1,
-        producer_pc: int = -1,
-        tid: int = 0,
-    ) -> int:
-        """Fast path: intern the static template and fuse the buffer
-        append + byte accounting into one call (same observable effect
-        as :meth:`_emit_slow`, record for record)."""
-        interner = self._interner
-        key = (kind, consumer_pc, producer_pc, tid)
-        template = interner.templates.get(key)
-        if template is None:
-            template = interner.templates[key] = RecordTemplate(kind, consumer_pc, producer_pc, tid)
-        else:
-            interner.hits += 1
-        record = InternedDepRecord(template, consumer_seq, consumer_seq - producer_seq)
-        b = template.bytes
-        buf = self.buffer
-        buf.records.append(record)
-        cur = buf.current_bytes + b
-        bstats = buf.stats
-        bstats.appended += 1
-        bstats.appended_bytes += b
-        if cur > bstats.peak_bytes:
-            bstats.peak_bytes = cur
-        buf.current_bytes = cur
-        if cur > buf.capacity_bytes:
-            buf.evict_overflow()
-        stats = self.stats
-        stored = stats.stored
-        kv = template.kind_value
-        stored[kv] = stored.get(kv, 0) + 1
-        stats.stored_bytes += b
-        return b
-
-    def _emit_packed(
-        self,
-        kind: DepKind,
-        consumer_seq: int,
-        consumer_pc: int,
-        producer_seq: int = -1,
-        producer_pc: int = -1,
-        tid: int = 0,
-    ) -> int:
-        """Packed path: append one columnar row (the buffer does the
-        byte/eviction accounting); same observable stats as the other
-        emit paths, record for record."""
-        b = self.buffer.append_row(
-            KIND_CODES[kind], consumer_seq, consumer_pc, producer_seq, producer_pc, tid
-        )
-        stats = self.stats
-        stored = stats.stored
-        key = kind.value
-        stored[key] = stored.get(key, 0) + 1
-        stats.stored_bytes += b
-        return b
-
-    def _install_fast_hook(self) -> None:
-        """Compile a specialized ``on_instruction`` for this tracer.
-
-        The closure mirrors :meth:`on_instruction` statement for
-        statement but captures the config flags, the dependence maps,
-        the buffer internals and the template cache as locals, and fuses
-        record construction with buffer accounting — removing the
-        per-instruction attribute-chasing and per-record call overhead
-        the generic hook pays.  Installed as an instance attribute so
-        the hook bus dispatches straight to it.  Observable behavior is
-        identical to the generic hook (the differential suite holds the
-        two paths to bit-identical outputs); config flags are frozen at
-        construction, which the generic hook only nominally re-reads.
+        The closure captures the config flags, the dependence maps and
+        the buffer's ``append_row`` as locals, so the per-instruction
+        path pays no attribute chasing.  Installed as an instance
+        attribute so the hook bus dispatches straight to it; config
+        flags are frozen at construction.
         """
         cfg = self.config
         naive = cfg.naive
@@ -374,63 +225,21 @@ class OnlineTracer(Hook):
         K_CONTROL, K_BRANCH = DepKind.CONTROL, DepKind.BRANCH
         K_WAR, K_WAW = DepKind.WAR, DepKind.WAW
 
-        if self._packed:
-            append_row = buffer.append_row
-            kind_codes = KIND_CODES
+        append_row = buffer.append_row
+        kind_codes = KIND_CODES
 
-            def emit(kind, consumer_seq, consumer_pc, producer_seq, producer_pc, tid):
-                # The packed buffer fuses the append with every byte /
-                # peak / eviction counter (see append_row); only the
-                # tracer-level per-kind accounting lives here.
-                b = append_row(
-                    kind_codes[kind], consumer_seq, consumer_pc, producer_seq, producer_pc, tid
-                )
-                kv = kind.value
-                stored[kv] = stored.get(kv, 0) + 1
-                if b:
-                    stats.stored_bytes += b
-                return b
-
-        else:
-            buf_append = buffer.records.append
-            bstats = buffer.stats
-            capacity = buffer.capacity_bytes
-            interner = self._interner
-            templates = interner.templates
-            make_template = RecordTemplate
-            make_record = InternedDepRecord
-            rec_new = object.__new__
-
-            def emit(kind, consumer_seq, consumer_pc, producer_seq, producer_pc, tid):
-                key = (kind, consumer_pc, producer_pc, tid)
-                template = templates.get(key)
-                if template is None:
-                    template = templates[key] = make_template(kind, consumer_pc, producer_pc, tid)
-                else:
-                    interner.hits += 1
-                # Record construction inlined (three slot stores, no ctor frame).
-                rec = rec_new(make_record)
-                rec.template = template
-                rec.consumer_seq = consumer_seq
-                rec.producer_delta = consumer_seq - producer_seq
-                buf_append(rec)
-                bstats.appended += 1
-                kv = template.kind_value
-                stored[kv] = stored.get(kv, 0) + 1
-                b = template.bytes
-                if b:
-                    # Zero-byte kinds (CONTROL/IREG/IMEM — the majority under
-                    # full optimization) skip all byte bookkeeping: += 0 and the
-                    # capacity check cannot change any counter or evict.
-                    cur = buffer.current_bytes + b
-                    bstats.appended_bytes += b
-                    if cur > bstats.peak_bytes:
-                        bstats.peak_bytes = cur
-                    buffer.current_bytes = cur
-                    if cur > capacity:
-                        buffer.evict_overflow()
-                    stats.stored_bytes += b
-                return b
+        def emit(kind, consumer_seq, consumer_pc, producer_seq, producer_pc, tid):
+            # The packed buffer fuses the append with every byte / peak /
+            # eviction counter (see append_row); only the tracer-level
+            # per-kind accounting lives here.
+            b = append_row(
+                kind_codes[kind], consumer_seq, consumer_pc, producer_seq, producer_pc, tid
+            )
+            kv = kind.value
+            stored[kv] = stored.get(kv, 0) + 1
+            if b:
+                stats.stored_bytes += b
+            return b
 
         def fast_on_instruction(ev):
             stats.instructions += 1
@@ -497,6 +306,8 @@ class OnlineTracer(Hook):
                             else "static_trace"
                         )
                         skipped[key] = skipped.get(key, 0) + 1
+                        # The edge is recoverable from the binary at query
+                        # time: keep it in the buffer at zero modeled cost.
                         bytes_stored += emit(K_IREG, seq, pc, pseq, ppc, tid)
                         continue
                     bytes_stored += emit(K_REG, seq, pc, pseq, ppc, tid)
@@ -520,6 +331,8 @@ class OnlineTracer(Hook):
                         cached = redundant_load.get(pc)
                         if cached == (addr, pseq):
                             skipped["redundant_load"] = skipped.get("redundant_load", 0) + 1
+                            # Recoverable from the previously stored identical
+                            # dependence: keep the edge at zero modeled cost.
                             bytes_stored += emit(K_IMEM, seq, pc, pseq, ppc, tid)
                             continue
                         redundant_load[pc] = (addr, pseq)
@@ -546,6 +359,8 @@ class OnlineTracer(Hook):
             if traced:
                 entry = (_NODE, seq, pc, instance, tid)
             else:
+                # Summarize through untraced code: inherit the traced
+                # ancestors of every input so chains are not broken.
                 ancestors = set()
                 for reg, _ in ev.reg_reads:
                     producer = last_reg.get((tid, reg))
@@ -596,10 +411,6 @@ class OnlineTracer(Hook):
 
         self.on_instruction = fast_on_instruction
 
-    def _is_traced(self, ev: InstrEvent) -> bool:
-        sel = self.config.selective_functions
-        return sel is None or ev.instr.function in sel
-
     def _bump_instance(self, tid: int) -> None:
         self._next_instance += 1
         self._block_instance[tid] = self._next_instance
@@ -640,190 +451,6 @@ class OnlineTracer(Hook):
         )
         return extra
 
-    # -- the hook --------------------------------------------------------------
-    def on_instruction(self, ev: InstrEvent) -> None:
-        cfg = self.config
-        stats = self.stats
-        stats.instructions += 1
-        tid = ev.tid
-        seq = ev.seq
-        pc = ev.pc
-        instr = ev.instr
-        op = instr.opcode
-        _emit = self._emit
-
-        bytes_stored = self._maintain_blocks(ev)
-        instance = self._block_instance.get(tid, 0)
-
-        parent = self._control.observe(ev) if self._control is not None else None
-
-        sel = cfg.selective_functions
-        traced = sel is None or instr.function in sel
-
-        # --- input-derived flag of this instruction -------------------------
-        if cfg.input_forward_slice:
-            derived = op is Opcode.IN
-            if not derived:
-                for reg, _ in ev.reg_reads:
-                    if (tid, reg) in self._derived_reg:
-                        derived = True
-                        break
-            if not derived:
-                for addr, _ in ev.mem_reads:
-                    if addr in self._derived_mem:
-                        derived = True
-                        break
-        else:
-            derived = True
-
-        store_deps = traced and derived
-        if traced and not derived:
-            stats._bump(stats.skipped, "input_filter")
-
-        # --- per-instruction record (naive mode only) ------------------------
-        if cfg.naive and traced:
-            bytes_stored += _emit(DepKind.INSTR, seq, pc, -1, -1, tid)
-
-        # --- register dependences ---------------------------------------------
-        reg_reads = ev.reg_reads
-        if reg_reads:
-            last_reg_get = self._last_reg.get
-            seen_regs: set[int] = set()
-            for reg, _ in reg_reads:
-                if reg in seen_regs:
-                    continue
-                seen_regs.add(reg)
-                producer = last_reg_get((tid, reg))
-                if producer is None:
-                    continue
-                if not store_deps:
-                    continue
-                if producer[0] == _SUMMARY:
-                    for pseq, ppc in producer[1]:
-                        bytes_stored += _emit(DepKind.SUMMARY, seq, pc, pseq, ppc, tid)
-                    continue
-                _, pseq, ppc, pinstance, ptid = producer
-                if (
-                    not cfg.naive
-                    and cfg.infer_intra_block
-                    and ptid == tid
-                    and pinstance == instance
-                ):
-                    key = "static_block" if not self._was_fused(instance) else "static_trace"
-                    skipped = stats.skipped
-                    skipped[key] = skipped.get(key, 0) + 1
-                    # The edge is recoverable from the binary at query time:
-                    # keep it in the buffer at zero modeled cost.
-                    bytes_stored += _emit(DepKind.IREG, seq, pc, pseq, ppc, tid)
-                    continue
-                bytes_stored += _emit(DepKind.REG, seq, pc, pseq, ppc, tid)
-
-        # --- memory dependences --------------------------------------------------
-        mem_reads = ev.mem_reads
-        if mem_reads:
-            record_war_waw = cfg.record_war_waw
-            for addr, _ in mem_reads:
-                producer = self._last_mem.get(addr)
-                if record_war_waw:
-                    readers = self._last_readers.setdefault(addr, [])
-                    if len(readers) < 8:
-                        readers.append((seq, pc, tid))
-                if producer is None or not store_deps:
-                    continue
-                if producer[0] == _SUMMARY:
-                    for pseq, ppc in producer[1]:
-                        bytes_stored += _emit(DepKind.SUMMARY, seq, pc, pseq, ppc, tid)
-                    continue
-                _, pseq, ppc, _, ptid = producer
-                if (
-                    not cfg.naive
-                    and cfg.elide_redundant_loads
-                    and (op is Opcode.LOAD or op is Opcode.POP)
-                ):
-                    cached = self._redundant_load.get(pc)
-                    if cached == (addr, pseq):
-                        skipped = stats.skipped
-                        skipped["redundant_load"] = skipped.get("redundant_load", 0) + 1
-                        # Recoverable from the previously stored identical
-                        # dependence: keep the edge at zero modeled cost.
-                        bytes_stored += _emit(DepKind.IMEM, seq, pc, pseq, ppc, tid)
-                        continue
-                    self._redundant_load[pc] = (addr, pseq)
-                bytes_stored += _emit(DepKind.MEM, seq, pc, pseq, ppc, tid)
-
-        # --- control dependence ------------------------------------------------
-        if parent is not None and store_deps:
-            bytes_stored += _emit(
-                DepKind.CONTROL, seq, pc, parent.branch_seq, parent.branch_pc, tid
-            )
-        if (op is Opcode.BR or op is Opcode.BRZ) and self._control is not None and traced:
-            bytes_stored += _emit(DepKind.BRANCH, seq, pc, -1, -1, tid)
-
-        # --- WAR/WAW (multithreaded slicing extension) ----------------------------
-        if cfg.record_war_waw and ev.mem_writes:
-            for addr, _ in ev.mem_writes:
-                prev_writer = self._last_mem.get(addr)
-                if prev_writer is not None and prev_writer[0] == _NODE:
-                    _, pseq, ppc, _, ptid = prev_writer
-                    if ptid != tid:
-                        bytes_stored += _emit(DepKind.WAW, seq, pc, pseq, ppc, tid)
-                for rseq, rpc, rtid in self._last_readers.pop(addr, []):
-                    if rtid != tid:
-                        bytes_stored += _emit(DepKind.WAR, seq, pc, rseq, rpc, tid)
-
-        # --- update last-writer metadata --------------------------------------------
-        if traced:
-            entry = (_NODE, seq, pc, instance, tid)
-        else:
-            # Summarize through untraced code: inherit the traced
-            # ancestors of every input so chains are not broken.
-            ancestors: set[tuple[int, int]] = set()
-            for reg, _ in ev.reg_reads:
-                producer = self._last_reg.get((tid, reg))
-                if producer is None:
-                    continue
-                if producer[0] == _NODE:
-                    ancestors.add((producer[1], producer[2]))
-                else:
-                    ancestors.update(producer[1])
-            for addr, _ in ev.mem_reads:
-                producer = self._last_mem.get(addr)
-                if producer is None:
-                    continue
-                if producer[0] == _NODE:
-                    ancestors.add((producer[1], producer[2]))
-                else:
-                    ancestors.update(producer[1])
-            if len(ancestors) > SUMMARY_FANIN_CAP:
-                ancestors = set(sorted(ancestors)[-SUMMARY_FANIN_CAP:])
-            entry = (_SUMMARY, frozenset(ancestors))
-
-        for reg, _ in ev.reg_writes:
-            self._last_reg[(tid, reg)] = entry
-            if cfg.input_forward_slice:
-                if derived:
-                    self._derived_reg.add((tid, reg))
-                else:
-                    self._derived_reg.discard((tid, reg))
-        for addr, _ in ev.mem_writes:
-            self._last_mem[addr] = entry
-            if cfg.input_forward_slice:
-                if derived:
-                    self._derived_mem.add(addr)
-                else:
-                    self._derived_mem.discard(addr)
-
-        if op is Opcode.SPAWN:
-            # The child's r0 is defined by the spawn's argument flow.
-            child = ev.reg_writes[0][1]
-            self._last_reg[(child, 0)] = entry
-            if cfg.input_forward_slice and derived:
-                self._derived_reg.add((child, 0))
-
-        # --- overhead accounting --------------------------------------------------
-        if cfg.charge_overhead and self.machine is not None:
-            self.machine.add_overhead(cfg.stub_cycles + bytes_stored * cfg.cycles_per_byte)
-
     def publish_telemetry(self, registry) -> None:
         """Dump tracer stats (the paper's B/instr figures) into a
         :class:`~repro.telemetry.MetricsRegistry`; call after the run."""
@@ -831,9 +458,6 @@ class OnlineTracer(Hook):
         registry.counter("ontrac.instructions").inc(stats.instructions)
         registry.counter("ontrac.stored_bytes").inc(stats.stored_bytes)
         registry.counter("ontrac.hot_traces").inc(stats.hot_traces)
-        if self._interner is not None:
-            registry.counter("ontrac.records_interned").inc(self._interner.hits)
-            registry.gauge("ontrac.record_templates").set(len(self._interner.templates))
         for kind, count in sorted(stats.stored.items()):
             registry.counter(f"ontrac.records.stored.{kind}").inc(count)
         for reason, count in sorted(stats.skipped.items()):
@@ -844,19 +468,9 @@ class OnlineTracer(Hook):
         registry.gauge("ontrac.buffer.peak_bytes").set_max(buf.stats.peak_bytes)
         registry.gauge("ontrac.buffer.window_instructions").set(buf.window_instructions())
         registry.counter("ontrac.buffer.evicted_records").inc(buf.stats.evicted)
-        if self._packed:
-            # Deterministic column-payload figure (allocated chunk bytes),
-            # NOT process residency — tracemalloc-measured residency lives
-            # in benchmarks/bench_slicing.py where determinism is not
-            # required for golden comparisons.
-            registry.gauge("ontrac.store.resident_bytes").set(buf.resident_bytes())
-            registry.gauge("ontrac.store.chunks").set(buf.chunk_count)
-
-    def _was_fused(self, instance: int) -> bool:
-        """Attribution only: whether this inference region spans a trace.
-
-        We do not track fusion per instance (it would cost memory for a
-        stat); attribute to traces whenever trace inference is on and at
-        least one hot trace exists.
-        """
-        return self.config.infer_traces and bool(self._hot_transitions)
+        # Deterministic column-payload figure (allocated chunk bytes),
+        # NOT process residency — tracemalloc-measured residency lives
+        # in benchmarks/bench_slicing.py where determinism is not
+        # required for golden comparisons.
+        registry.gauge("ontrac.store.resident_bytes").set(buf.resident_bytes())
+        registry.gauge("ontrac.store.chunks").set(buf.chunk_count)

@@ -320,8 +320,6 @@ def _lake_pending(payload: dict, params: dict, inputs: dict):
         None if explicit is None else bool(explicit)
     ):
         return None
-    if not fastpath.resolve(None, "packed_store"):
-        return None  # spilling rides the packed columnar store
     from ..lake import TraceLake
     from ..lake import input_hash as _lake_input_hash
 

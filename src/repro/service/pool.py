@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import threading
 import time
 from collections import deque
@@ -56,11 +57,25 @@ _CTX = multiprocessing.get_context(
 _POLL_S = 0.02
 
 
+#: how often an idle worker checks that its daemon is still alive.
+PARENT_CHECK_S = 0.5
+
+
 def _worker_main(conn) -> None:
-    """Worker process loop: recv payload -> execute -> send verdict."""
+    """Worker process loop: recv payload -> execute -> send verdict.
+
+    The loop ends when the daemon sends ``None``, closes the pipe, or
+    dies.  A SIGKILLed daemon closes nothing itself, and forked workers
+    inherit copies of the daemon's pipe ends, so EOF alone cannot be
+    trusted: an idle worker also notices being re-parented and exits.
+    """
+    daemon_pid = os.getppid()
     try:
         while True:
             try:
+                while not conn.poll(PARENT_CHECK_S):
+                    if os.getppid() != daemon_pid:
+                        return
                 payload = conn.recv()
             except (EOFError, OSError):
                 break

@@ -1,26 +1,24 @@
-"""Precompiled instruction dispatch — the VM's fast path.
+"""Precompiled instruction dispatch — the VM's execution path.
 
-:meth:`~repro.vm.machine.Machine._execute` decodes every instruction on
-every dynamic execution: an opcode ``if/elif`` chain (whose early arms
-are IntEnum rich comparisons), operand tuple indexing, a fresh
-``write_reg`` closure per step, and a cost-table lookup.  For the hot
-opcodes all of that is static per *instruction*, so this module
-compiles each :class:`~repro.isa.instructions.Instruction` once, at
-machine construction, into a closure with the operands, cost, fall-through
-pc and branch target already bound.  ``Machine._step`` then dispatches
-``table[thread.pc](thread)``.
+The hot opcodes do the same static work on every dynamic execution:
+operand decoding, a cost-table lookup, the fall-through pc and the
+branch target.  This module compiles each
+:class:`~repro.isa.instructions.Instruction` once, at machine
+construction, into a closure with all of that already bound.
+``Machine._step`` then dispatches ``table[thread.pc](thread)``.
 
 Only the hot, simple opcodes get closures (ALU, moves, loads/stores,
 stack ops, jumps and branches, NOP/ASSERT).  Everything that touches
-scheduler state, the heap, I/O or the call stack stays on the
-interpreter's slow path — the table entry for those pcs is the bound
-``Machine._execute`` itself, so the fallback costs nothing extra.
+scheduler state, the heap, I/O or the call stack is interpreted by
+``Machine._execute`` — the table entry for those pcs is that bound
+method itself, so the fallback costs nothing extra.
 
-Bit-identity contract (enforced by ``tests/test_fastpath_differential.py``):
-a compiled step performs the same state transitions in the same order
-as ``_execute`` — including intervention transforms, occurrence
-counting, cycle accrual, telemetry op counts and the exact
-``InstrEvent`` tuples hooks observe.
+Contract: a compiled step performs its state transitions in a fixed
+order — intervention transforms, occurrence counting, cycle accrual,
+telemetry op counts — and publishes exactly the ``InstrEvent`` tuples
+hooks observe.  Subscribing hooks never changes the machine state a
+run ends in (``tests/test_fastpath_differential.py`` checks hooked
+runs against plain ones).
 """
 
 from __future__ import annotations
@@ -92,8 +90,8 @@ def _unary_fns():
 
 
 def compile_program(m: "Machine") -> list[StepFn]:
-    """One step closure per static instruction; complex opcodes fall
-    back to the bound slow-path ``m._execute``."""
+    """One step closure per static instruction; complex opcodes
+    dispatch to the bound ``m._execute``."""
     return [_compile_instr(m, pc, instr) for pc, instr in enumerate(m.program.code)]
 
 
@@ -490,6 +488,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
 
         return step_assert
 
-    # Everything touching the heap, scheduler, call stack or I/O stays on
-    # the decoded slow path.
+    # Everything touching the heap, scheduler, call stack or I/O is
+    # interpreted by Machine._execute.
     return m._execute

@@ -23,8 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .. import fastpath as fastpath_config
-from ..isa.instructions import SP, Instruction, Opcode
+from ..isa.instructions import Instruction, Opcode
 from ..isa.program import Program
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .cost import OPCODE_CLASSES, CostModel, CycleCounters
@@ -73,15 +72,6 @@ class RunResult:
         return self.status is RunStatus.FAILED
 
 
-def _trunc_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _trunc_mod(a: int, b: int) -> int:
-    return a - _trunc_div(a, b) * b
-
-
 class Machine:
     """One guest machine: program + memory + threads + I/O + hooks."""
 
@@ -92,14 +82,12 @@ class Machine:
         cost_model: CostModel | None = None,
         args: tuple[int, ...] = (),
         telemetry: Telemetry | None = None,
-        fastpath: "fastpath_config.FastPathConfig | bool | None" = None,
     ):
         program.validate()
         self.program = program
         self.scheduler = scheduler or RoundRobinScheduler()
         self.cost_model = cost_model or CostModel()
         self._cost_table = self.cost_model.table()
-        self.fastpath = fastpath_config.resolve_config(fastpath)
         self.telemetry = telemetry or NULL_TELEMETRY
         # One bool, checked like `hooks.active`: the no-op path costs a
         # single attribute load and never touches the cycle model.
@@ -125,9 +113,10 @@ class Machine:
         self._occurrences: dict[int, int] = {}  # instr index -> executions
         entry = program.entry_function
         self.threads: list[ThreadContext] = [ThreadContext.create(0, entry.entry, tuple(args))]
-        # Fast path: one precompiled step closure per static instruction
-        # (see repro.vm.dispatch); None keeps the decoded slow path.
-        self._dispatch = compile_program(self) if self.fastpath.vm_dispatch else None
+        # One precompiled step closure per static instruction (see
+        # repro.vm.dispatch); opcodes without a closure dispatch to
+        # the bound _execute.
+        self._dispatch = compile_program(self)
 
     # -- tool API -------------------------------------------------------
     def add_overhead(self, cycles: int) -> None:
@@ -229,10 +218,7 @@ class Machine:
         only completed instructions.
         """
         try:
-            table = self._dispatch
-            if table is not None:
-                return table[thread.pc](thread)
-            return self._execute(thread)
+            return self._dispatch[thread.pc](thread)
         except ProgramFailure as exc:
             self._fail(thread, exc)
             return True
@@ -248,9 +234,6 @@ class Machine:
 
         reg_reads: tuple = ()
         reg_writes: tuple = ()
-        mem_reads: tuple = ()
-        mem_writes: tuple = ()
-        taken: bool | None = None
         callee: int | None = None
         alloc: tuple | None = None
         channel: int | None = None
@@ -272,121 +255,14 @@ class Machine:
                 reg_writes = ((reg, value),)
             return value
 
-        # --- ALU (three-register) ------------------------------------
-        if op <= Opcode.SGE:  # relies on enum declaration order
-            a, b = regs[ops[1]], regs[ops[2]]
-            if op is Opcode.ADD:
-                r = a + b
-            elif op is Opcode.SUB:
-                r = a - b
-            elif op is Opcode.MUL:
-                r = a * b
-            elif op is Opcode.DIV:
-                if b == 0:
-                    raise ProgramFailure("div_zero", f"at pc={pc}")
-                r = _trunc_div(a, b)
-            elif op is Opcode.MOD:
-                if b == 0:
-                    raise ProgramFailure("div_zero", f"mod at pc={pc}")
-                r = _trunc_mod(a, b)
-            elif op is Opcode.AND:
-                r = a & b
-            elif op is Opcode.OR:
-                r = a | b
-            elif op is Opcode.XOR:
-                r = a ^ b
-            elif op is Opcode.SHL:
-                if not 0 <= b <= 64:
-                    raise ProgramFailure("bad_shift", f"shift by {b}")
-                r = a << b
-            elif op is Opcode.SHR:
-                if not 0 <= b <= 64:
-                    raise ProgramFailure("bad_shift", f"shift by {b}")
-                r = a >> b
-            elif op is Opcode.SEQ:
-                r = 1 if a == b else 0
-            elif op is Opcode.SNE:
-                r = 1 if a != b else 0
-            elif op is Opcode.SLT:
-                r = 1 if a < b else 0
-            elif op is Opcode.SLE:
-                r = 1 if a <= b else 0
-            elif op is Opcode.SGT:
-                r = 1 if a > b else 0
-            else:  # SGE
-                r = 1 if a >= b else 0
-            if trace:
-                reg_reads = ((ops[1], a), (ops[2], b))
-            write_reg(ops[0], r)
-
-        elif op is Opcode.ADDI:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], a + ops[2])
-        elif op is Opcode.MULI:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], a * ops[2])
-        elif op is Opcode.NOT:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], 1 if a == 0 else 0)
-        elif op is Opcode.NEG:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], -a)
-        elif op is Opcode.MOV:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], a)
-        elif op is Opcode.LI:
-            write_reg(ops[0], ops[1])
-
-        # --- memory ----------------------------------------------------
-        elif op is Opcode.LOAD:
-            base = regs[ops[1]]
-            addr = base + ops[2]
-            value = self.memory.load(addr)
-            if trace:
-                reg_reads = ((ops[1], base),)
-                mem_reads = ((addr, value),)
-            write_reg(ops[0], value)
-        elif op is Opcode.STORE:
-            value = regs[ops[0]]
-            base = regs[ops[1]]
-            addr = base + ops[2]
-            self.memory.store(addr, value)
-            if trace:
-                reg_reads = ((ops[0], value), (ops[1], base))
-                mem_writes = ((addr, value),)
-        elif op is Opcode.PUSH:
-            value = regs[ops[0]]
-            sp = regs[SP] - 1
-            regs[SP] = sp
-            self.memory.store(sp, value)
-            if trace:
-                reg_reads = ((ops[0], value), (SP, sp + 1))
-                reg_writes = ((SP, sp),)
-                mem_writes = ((sp, value),)
-        elif op is Opcode.POP:
-            sp = regs[SP]
-            value = self.memory.load(sp)
-            regs[SP] = sp + 1
-            if intervention is not None:
-                value = intervention.transform_def(instr, occurrence, value)
-            regs[ops[0]] = value
-            if trace:
-                reg_reads = ((SP, sp),)
-                reg_writes = ((ops[0], value), (SP, sp + 1))
-                mem_reads = ((sp, value),)
+        # The hot opcodes (ALU, moves, loads/stores, push/pop, jumps,
+        # branches, NOP, ASSERT) run as precompiled closures; only the
+        # heap, call-stack, I/O, thread and sync opcodes (plus HALT and
+        # FAIL) reach here, and none of them touches memory cells or
+        # takes a branch, so their events carry no mem/branch fields.
 
         # --- heap --------------------------------------------------------
-        elif op is Opcode.ALLOC:
+        if op is Opcode.ALLOC:
             size = regs[ops[1]]
             base = self.memory.alloc(size)
             if trace:
@@ -402,18 +278,6 @@ class Machine:
             self.hooks.free(thread.tid, base, self.seq)
 
         # --- control ------------------------------------------------------
-        elif op is Opcode.JMP:
-            next_pc = ops[0]
-        elif op is Opcode.BR or op is Opcode.BRZ:
-            cond = regs[ops[0]]
-            natural = (cond != 0) if op is Opcode.BR else (cond == 0)
-            taken = natural
-            if intervention is not None:
-                taken = intervention.branch_outcome(instr, occurrence, natural)
-            if taken:
-                next_pc = ops[1]
-            if trace:
-                reg_reads = ((ops[0], cond),)
         elif op is Opcode.CALL:
             fn = self.program.function_by_id(ops[0])
             assert fn is not None  # validated at link time
@@ -429,9 +293,7 @@ class Machine:
                 # Emit the event first so DIFT policies can attribute the
                 # wild target before the machine reports the crash.
                 if trace:
-                    self._emit(
-                        thread, pc, instr, reg_reads, (), (), (), None, None, None, None, None, -1
-                    )
+                    self._emit(thread, pc, instr, reg_reads, (), None, None, None, None, -1)
                 raise ProgramFailure("bad_icall", f"indirect call to invalid target {fid}")
             thread.frames.append(Frame(pc + 1, fn.name))
             next_pc = fn.entry
@@ -447,8 +309,6 @@ class Machine:
                 next_pc = pc  # unused; thread is done
         elif op is Opcode.HALT:
             self.halted = True
-        elif op is Opcode.NOP:
-            pass
 
         # --- I/O --------------------------------------------------------
         elif op is Opcode.IN:
@@ -536,15 +396,9 @@ class Machine:
             self.hooks.barrier(thread.tid, bar_id, self.seq)
 
         # --- diagnostics ---------------------------------------------------
-        elif op is Opcode.ASSERT:
-            value = regs[ops[0]]
-            if trace:
-                reg_reads = ((ops[0], value),)
-            if value == 0:
-                raise ProgramFailure("assert", f"assertion failed at pc={pc}")
         elif op is Opcode.FAIL:
             raise ProgramFailure("fail", f"explicit failure code {ops[0]}")
-        else:  # pragma: no cover - exhaustive over OP_TABLE
+        else:  # pragma: no cover - exhaustive with repro.vm.dispatch
             raise VMError(f"unhandled opcode {op!r}")
 
         # --- bookkeeping ---------------------------------------------------
@@ -563,9 +417,6 @@ class Machine:
                 instr,
                 reg_reads,
                 reg_writes,
-                mem_reads,
-                mem_writes,
-                taken,
                 callee,
                 alloc,
                 channel,
@@ -582,9 +433,6 @@ class Machine:
         instr: Instruction,
         reg_reads,
         reg_writes,
-        mem_reads,
-        mem_writes,
-        taken,
         callee,
         alloc,
         channel,
@@ -598,9 +446,6 @@ class Machine:
             instr=instr,
             reg_reads=reg_reads,
             reg_writes=reg_writes,
-            mem_reads=mem_reads,
-            mem_writes=mem_writes,
-            taken=taken,
             callee=callee,
             alloc=alloc,
             channel=channel,

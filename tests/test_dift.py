@@ -53,12 +53,13 @@ class TestShadow:
         s.set_cell(2, True)
         assert snap.cell(2) is None
 
-    @pytest.mark.parametrize("paged", [False, True])
-    def test_clear_range_over_untainted_holes(self, paged):
+    @pytest.mark.parametrize("array", [False, True])
+    def test_clear_range_over_untainted_holes(self, array):
         # Regression: a range spanning mostly-untainted addresses must
         # remove exactly the tainted cells inside it, in one pass, with
-        # the tainted-cell count staying consistent.
-        s = ShadowState(BoolTaintPolicy(), paged=paged)
+        # the tainted-cell count staying consistent — for the dict and
+        # the array store alike.
+        s = ShadowState(BoolTaintPolicy(), array=array)
         tainted = [3, 4, 9_000, 9_001, 50_000]
         for a in tainted:
             s.set_cell(a, True)

@@ -7,11 +7,10 @@ nondeterministic — ``wall_time_s`` on reports, ``wall_ns`` in span
 args — so any other drift (cycle model, record accounting, metric
 names, span timestamps) fails the diff.
 
-Runs are pinned to ``FastPathConfig.all_on()`` because the fast-path
-introspection counters (``fastpath.dispatch_hits``,
+Runs use the default configuration, so the introspection counters of
+the implementations that actually ran (``fastpath.dispatch_hits``,
 ``ontrac.store.chunks``, ``ontrac.store.resident_bytes``,
-``shadow.pages_allocated``) are part of the report; everything else in
-the fixtures is flag-independent by the bit-identity contract.
+``shadow.pages_allocated``) are part of the report.
 ``ontrac.store.resident_bytes`` stays golden-stable because it is the
 deterministic column-payload figure, not a ``getsizeof``/tracemalloc
 measurement.
@@ -27,9 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import fastpath
 from repro.dift import DIFTEngine, PCTaintPolicy, SinkRule
-from repro.fastpath import FastPathConfig
 from repro.lang import compile_source
 from repro.ontrac import OntracConfig
 from repro.telemetry import Telemetry, build_report
@@ -111,8 +108,7 @@ GOLDENS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_golden(name):
-    with fastpath.overridden(FastPathConfig.all_on()):
-        produced = dumps(GOLDENS[name]())
+    produced = dumps(GOLDENS[name]())
     path = GOLDEN_DIR / name
     if os.environ.get("REPRO_REGEN_GOLDENS"):
         GOLDEN_DIR.mkdir(exist_ok=True)

@@ -438,3 +438,25 @@ class TestMetadata:
     def test_program_validates(self):
         cp = compile_source("fn main() { out(1, 1); }")
         cp.program.validate()
+
+
+# --- nesting bound -----------------------------------------------------------
+DEEP_SOURCES = {
+    "parentheses": "fn main() {\n    return " + "(" * 5000 + "1" + ")" * 5000 + ";\n}\n",
+    "unary-minus": "fn main() {\n    return " + "-" * 5000 + "1;\n}\n",
+    "operator-chain": "fn main() {\n    return " + "+".join(["1"] * 5000) + ";\n}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SOURCES))
+def test_deep_nesting_is_a_compile_error(name):
+    # Hostile depth must come back as a positioned CompileError — from
+    # the compiler and from a service job alike — never a RecursionError.
+    from repro.service.jobs import execute_job
+
+    source = DEEP_SOURCES[name]
+    with pytest.raises(CompileError, match="nesting deeper") as info:
+        compile_source(source)
+    assert info.value.line == 2
+    with pytest.raises(CompileError, match="nesting deeper"):
+        execute_job({"kind": "trace", "source": source})

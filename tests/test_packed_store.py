@@ -1,7 +1,7 @@
 """Unit tests for the packed columnar dependence store.
 
-Everything here holds the packed store to the legacy
-:class:`TraceBuffer` contract record for record: same surviving
+Everything here holds the packed store to the record-object oracle
+:class:`TraceBuffer` record for record: same surviving
 records under eviction, same :class:`BufferStats` accounting (including
 the shared ``eviction_passes`` counter), same window arithmetic — plus
 the packed-only invariants (sentinel overflow round-trips, the
@@ -172,15 +172,24 @@ def test_resident_bytes_is_deterministic_column_payload():
 
 
 def test_tracer_integration_matches_legacy_store():
-    runner = matmul(4).runner()
-    _, packed_tracer, _ = runner.run_traced(OntracConfig(packed_store=True))
-    runner = matmul(4).runner()
-    _, legacy_tracer, _ = runner.run_traced(OntracConfig(packed_store=False))
-    assert isinstance(packed_tracer.buffer, PackedTraceBuffer)
-    assert [record_tuple(r) for r in packed_tracer.buffer] == \
-        [record_tuple(r) for r in legacy_tracer.buffer]
-    ddg = packed_tracer.dependence_graph()
-    ref = legacy_tracer.dependence_graph()
+    # The tracer's row stream replayed into the TraceBuffer oracle at a
+    # window small enough to evict must leave exactly the rows the
+    # tracer's packed buffer kept, and slice identically through
+    # build_ddg + the BFS slicer.
+    window = 2048
+    _, full, _ = matmul(4).runner().run_traced(OntracConfig())
+    _, tracer, _ = matmul(4).runner().run_traced(OntracConfig(buffer_bytes=window))
+    legacy = TraceBuffer(capacity_bytes=window)
+    for r in full.buffer:
+        legacy.append(DepRecord(r.kind, r.consumer_seq, r.consumer_pc,
+                                r.producer_seq, r.producer_pc, r.tid))
+    assert isinstance(tracer.buffer, PackedTraceBuffer)
+    assert legacy.stats.evicted > 0
+    assert [record_tuple(r) for r in tracer.buffer] == \
+        [record_tuple(r) for r in legacy]
+    assert stats_tuple(tracer.buffer.stats) == stats_tuple(legacy.stats)
+    ddg = tracer.dependence_graph()
+    ref = build_ddg(legacy, complete=False)
     assert isinstance(ddg, PackedDDG) and ddg.indexable
     crit = max(ref.nodes)
     for slicer in (backward_slice, forward_slice):

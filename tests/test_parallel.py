@@ -3,7 +3,6 @@ ring-buffer wraparound and batching, attack parity with the inline
 engine, the i64 sink-value fixup path, batch-size flag resolution, the
 experiment fan-out, and the telemetry surface."""
 
-from dataclasses import replace
 
 import pytest
 
@@ -194,34 +193,32 @@ class TestBatchSizeFlag:
 
     def test_flag_off_means_unbatched(self, monkeypatch):
         monkeypatch.delenv("REPRO_FASTPATH_PARALLEL_BATCH", raising=False)
-        with fastpath.overridden(FastPathConfig.all_off()):
+        with fastpath.overridden(FastPathConfig(parallel_batch=False)):
             assert parallel_batch_size() == 1
 
     def test_flag_on_uses_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_FASTPATH_PARALLEL_BATCH", raising=False)
-        cfg = replace(FastPathConfig.all_off(), parallel_batch=True)
+        cfg = FastPathConfig(parallel_batch=True)
         with fastpath.overridden(cfg):
             assert parallel_batch_size() == DEFAULT_PARALLEL_BATCH
 
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH_PARALLEL_BATCH", "37")
-        cfg = replace(FastPathConfig.all_off(), parallel_batch=True)
+        cfg = FastPathConfig(parallel_batch=True)
         with fastpath.overridden(cfg):
             assert parallel_batch_size() == 37
 
     def test_batching_is_opt_in_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
         monkeypatch.delenv("REPRO_FASTPATH_PARALLEL", raising=False)
         assert fastpath.from_env().parallel_batch is False
         monkeypatch.setenv("REPRO_FASTPATH_PARALLEL", "1")
         assert fastpath.from_env().parallel_batch is True
-        # The master switch can only force batching off, never on.
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        monkeypatch.setenv("REPRO_FASTPATH_PARALLEL", "0")
         assert fastpath.from_env().parallel_batch is False
 
     def test_helper_resolves_batch_from_flags(self, monkeypatch):
         monkeypatch.delenv("REPRO_FASTPATH_PARALLEL_BATCH", raising=False)
-        cfg = replace(FastPathConfig.all_off(), parallel_batch=True)
+        cfg = FastPathConfig(parallel_batch=True)
         with fastpath.overridden(cfg):
             helper = ParallelHelperDIFT(BoolTaintPolicy())
         assert helper.batch_size == DEFAULT_PARALLEL_BATCH

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro import fastpath
 from repro.apps.lineage import BDDManager
 from repro.dift import BoolTaintPolicy, DIFTEngine, ShadowState, SinkRule
-from repro.fastpath import FastPathConfig
 from repro.lang import compile_source
 from repro.ontrac import (
     DepKind,
@@ -23,7 +22,7 @@ from repro.ontrac import (
 from repro.runner import ProgramRunner
 from repro.slicing import backward_slice, forward_slice
 from repro.util.rng import DeterministicRng
-from repro.vm import Machine, RandomScheduler
+from repro.vm import Hook, Machine, RandomScheduler
 from repro.workloads import GeneratorConfig, generate
 
 BITS = 8
@@ -303,7 +302,9 @@ def _final_state(machine, result):
 
 
 class TestFastPathDifferentialFuzz:
-    """200 exhaustively-seeded generated programs through both paths.
+    """200 exhaustively-seeded generated programs, each run plain and
+    with a hook subscribed: publishing every InstrEvent must never
+    change the state the run ends in.
 
     Deliberately a seed sweep rather than a hypothesis strategy: the
     generator is its own fuzzer, and fixed seeds make a mismatch
@@ -316,11 +317,9 @@ class TestFastPathDifferentialFuzz:
         mismatched = []
         for seed in range(self.N_SEEDS):
             g = generate(seed, GeneratorConfig(use_inputs=seed % 2 == 0))
-            with fastpath.overridden(FastPathConfig.all_on()):
-                fast = _final_state(*g.runner().run())
-            with fastpath.overridden(FastPathConfig.all_off()):
-                slow = _final_state(*g.runner().run())
-            if fast != slow:
+            hooked = _final_state(*g.runner().run(hooks=(Hook(),)))
+            plain = _final_state(*g.runner().run())
+            if hooked != plain:
                 mismatched.append(seed)
         assert mismatched == []
 
@@ -385,24 +384,12 @@ def _apply(shadow, ops):
 
 
 class TestShadowBackendProperties:
-    @given(ops=shadow_ops)
-    @settings(max_examples=60, deadline=None)
-    def test_paged_matches_dict_backend(self, ops):
-        paged = ShadowState(BoolTaintPolicy(), paged=True)
-        plain = ShadowState(BoolTaintPolicy(), paged=False)
-        _apply(paged, ops)
-        _apply(plain, ops)
-        assert sorted(paged.mem_items().items()) == sorted(plain.mem_items().items())
-        assert paged.mem == plain.mem
-        assert paged.tainted_cells == plain.tainted_cells
-        assert paged.shadow_bytes == plain.shadow_bytes
-
     @pytest.mark.skipif(not fastpath.numpy_available(), reason="requires numpy")
     @given(ops=shadow_ops)
     @settings(max_examples=60, deadline=None)
     def test_array_store_matches_dict_backend(self, ops):
         arr = ShadowState(BoolTaintPolicy(), array=True)
-        plain = ShadowState(BoolTaintPolicy(), paged=False)
+        plain = ShadowState(BoolTaintPolicy())
         _apply(arr, ops)
         _apply(plain, ops)
         assert sorted(arr.mem_items().items()) == sorted(plain.mem_items().items())
@@ -410,10 +397,10 @@ class TestShadowBackendProperties:
         # The columnar export the array kernel probes agrees too.
         assert list(arr.mem.tainted_addresses()) == sorted(plain.mem_items())
 
-    @given(ops=shadow_ops, more=shadow_ops, paged=st.booleans())
+    @given(ops=shadow_ops, more=shadow_ops, array=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_snapshot_round_trip_is_isolated(self, ops, more, paged):
-        shadow = ShadowState(BoolTaintPolicy(), paged=paged)
+    def test_snapshot_round_trip_is_isolated(self, ops, more, array):
+        shadow = ShadowState(BoolTaintPolicy(), array=array)
         _apply(shadow, ops)
         before = sorted(shadow.mem_items().items())
         snap = shadow.snapshot()

@@ -10,7 +10,11 @@ cache idempotency.  Chaos jobs (crash/hang injection, gated behind
 """
 
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -565,6 +569,66 @@ class TestServiceIntegration:
     def test_wait_until_ready_times_out(self, tmp_path):
         with pytest.raises(ServiceError, match="not ready"):
             wait_until_ready(str(tmp_path / "nothing.sock"), timeout_s=0.3)
+
+
+def _proc_state(pid):
+    """(state, ppid) of ``pid`` from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except OSError:
+        return None
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def _live_children(pid):
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            info = _proc_state(int(entry))
+            if info is not None and info[1] == pid and info[0] != "Z":
+                kids.append(int(entry))
+    return kids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_exit_when_daemon_is_killed(tmp_path):
+    """A SIGKILLed daemon gets no chance to stop its pool; its worker
+    processes must notice and exit on their own."""
+    path = str(tmp_path / "killed.sock")
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--socket", path, "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        wait_until_ready(path, timeout_s=30.0)
+        deadline = time.monotonic() + 10.0
+        while len(workers) < 2 and time.monotonic() < deadline:
+            workers = _live_children(daemon.pid)
+            time.sleep(0.05)
+        assert len(workers) == 2, workers
+        daemon.kill()
+        daemon.wait(timeout=10.0)
+        deadline = time.monotonic() + 5.0
+        alive = workers
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.1)
+            alive = [
+                pid for pid in workers
+                if (_proc_state(pid) or ("Z",))[0] != "Z"
+            ]
+        assert alive == [], f"workers {alive} outlived their daemon"
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait(timeout=10.0)
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
 
 
 class TestServiceConfig:

@@ -113,15 +113,16 @@ COMMENTARY = {
     ),
     "slicing": (
         "Another wall-clock experiment: the packed columnar store answers "
-        "the same criterion batch >=3x faster than the legacy object-deque "
-        "pipeline (which must build one DDGNode + edge-list entry per "
-        "record before its first query) with every slice's (seqs, pcs, "
-        "truncated) asserted identical. The residency rows separate the "
-        "paper's *modeled* bytes/instruction (the wire format ONTRAC "
-        "accounts, ~3.7 B/instr here) from the *measured* tracemalloc "
-        "bytes the store actually occupies: the legacy deque of record "
-        "objects runs ~55x over the modeled figure, the packed 15-byte "
-        "column rows land within ~12x (allocator-granular chunks, "
+        "the same criterion batch >=3x faster than the record-object "
+        "oracle built from the very same rows (a TraceBuffer of DepRecords "
+        "+ build_ddg + the BFS slicer, which must build one DDGNode + "
+        "edge-list entry per record before its first query) with every "
+        "slice's (seqs, pcs, truncated) asserted identical. The residency "
+        "rows separate the paper's *modeled* bytes/instruction (the wire "
+        "format ONTRAC accounts, ~3.7 B/instr here) from the *measured* "
+        "tracemalloc bytes a store actually occupies: the deque of plain "
+        "record objects runs >100x over the modeled figure, the packed "
+        "15-byte column rows land within ~12x (allocator-granular chunks, "
         "consumer index included) — a >=4x real-memory cut at an equal "
         "window, which is the resource E3 trades for history."
     ),
@@ -280,19 +281,19 @@ unified metrics registry (`repro.telemetry`), the same snapshot
 **Wall-clock vs modeled cycles.** Every number in E1–E12 is in *modeled
 cycles* from the deterministic cost model — the currency in which the
 paper's slowdowns and ratios are reproduced. Host wall-clock time is
-*not* part of those claims: the fast execution path (`repro.fastpath`,
-on by default) makes the simulator itself ~2x faster without moving a
-single modeled number, and the differential suite holds the two
-implementations to bit-identical cycle counts, record streams and
-taint sets. Each section's **Wall-clock** line reports how long the
-host took to run that experiment (also serialized as `wall_time_s` in
-`--report` output) so the modeled and host costs sit side by side.
-Seven benchmarks deal in wall-clock (and real bytes) on purpose:
-`bench_fastpath.py` (>=2x host speedup, zero change in observables),
-the `slicing` experiment below (packed columnar dependence store:
->=3x faster queries and >=4x lower *measured* store residency —
-tracemalloc bytes, not the modeled `bytes_per_instruction`, which the
-legacy object store exceeded ~55x), the `parallel` experiment, where a
+*not* part of those claims: how fast the simulator itself runs (its
+precompiled VM dispatch, packed dependence store and array propagation
+kernel) never moves a modeled number, and the differential suite holds
+each layer to its independent oracle in cycle counts, dependence
+graphs, slices and taint sets. Each section's **Wall-clock** line
+reports how long the host took to run that experiment (also serialized
+as `wall_time_s` in `--report` output) so the modeled and host costs
+sit side by side. Six benchmarks deal in wall-clock (and real bytes)
+on purpose: the `slicing` experiment below (packed columnar dependence
+store: >=3x faster queries and >=4x lower *measured* store residency
+than the record-object oracle — tracemalloc bytes, not the modeled
+`bytes_per_instruction`, which a deque of record objects exceeds over
+100x), the `parallel` experiment, where a
 real worker process is the claim, the `service` experiment, where
 the claims are a live daemon's (throughput scaling across worker
 processes, overload shedding with zero hangs, bit-identical cache
