@@ -35,6 +35,9 @@ from ..vm.machine import Machine
 from .policy import BoolTaintPolicy, PCTaintPolicy, TaintPolicy
 from .shadow import ShadowState
 
+#: records per inline micro-batch when the array kernel is active.
+MICRO_BATCH_RECORDS = 2048
+
 
 @dataclass(frozen=True)
 class TaintAlert:
@@ -113,7 +116,6 @@ class DIFTEngine(Hook):
         propagate_addresses: bool = False,
         charge_overhead: bool = True,
         kernel: str | None = None,
-        kernel_batch: int | None = None,
         summaries: bool | None = None,
         summary_cache=None,
     ):
@@ -133,7 +135,6 @@ class DIFTEngine(Hook):
             self.kernel_fallback = "numpy"  # counted by propagation_kernel
         #: resolved propagation kernel for this engine ("array"|"reference").
         self.kernel_name = name
-        self.kernel_batch = fastpath.kernel_batch_size(kernel_batch)
         # Function-summary DIFT engages only for the scalar-label
         # policies (same constraint as the array kernel, and the
         # output-transfer replay needs unaliased labels).
@@ -291,7 +292,7 @@ class DIFTEngine(Hook):
         skip_cell = self._skip_cell
         base = self._batch_base
         fixups = self._fixups
-        flush_bytes = self.kernel_batch * RECORD.size
+        flush_bytes = MICRO_BATCH_RECORDS * RECORD.size
         kinds: dict[int, int] = {}
         raise_pcs: set[int] = set()
         pack = RECORD.pack

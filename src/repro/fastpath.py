@@ -47,8 +47,7 @@ Flags:
 Resolution order: explicit argument > process-wide override
 (:func:`configure` / :func:`overridden`) > environment
 (``REPRO_FASTPATH_KERNEL=reference|array`` picks the propagation
-kernel — ``reference`` is the one way to force the oracle kernel —
-and ``REPRO_FASTPATH_KERNEL_BATCH`` the records-per-batch;
+kernel — ``reference`` is the one way to force the oracle kernel;
 ``REPRO_FASTPATH_PARALLEL`` opts in to channel batching and
 ``REPRO_FASTPATH_PARALLEL_BATCH`` sets the messages-per-flush;
 ``REPRO_FASTPATH_SUMMARIES`` opts in to function-summary DIFT) >
@@ -130,9 +129,6 @@ def parallel_batch_size(explicit: int | None = None) -> int:
     return max(1, int(raw))
 
 
-#: records per inline micro-batch when the array kernel is active.
-DEFAULT_KERNEL_BATCH = 2048
-
 #: cached numpy availability (None = not probed yet).
 _numpy_available: bool | None = None
 
@@ -197,116 +193,6 @@ def propagation_kernel(explicit: str | None = None) -> str:
     return "reference"
 
 
-def kernel_batch_size(explicit: int | None = None) -> int:
-    """Records per inline micro-batch for the array kernel.
-
-    An explicit positive argument wins, then
-    ``REPRO_FASTPATH_KERNEL_BATCH``, then :data:`DEFAULT_KERNEL_BATCH`.
-    Purely an implementation knob: any positive value yields
-    bit-identical observables (the differential suite proves it).
-    """
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("kernel batch size must be >= 1")
-        return explicit
-    raw = os.environ.get("REPRO_FASTPATH_KERNEL_BATCH")
-    if raw is None:
-        return DEFAULT_KERNEL_BATCH
-    return max(1, int(raw))
-
-
-def service_degrade_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the analysis service's degraded-mode policy.
-
-    When on (the default), an overloaded daemon sheds *fidelity* first
-    — full tracing falls back to DIFT-only, then logging-only, the
-    paper's §2.2 cheap-logging/expensive-replay split — and only sheds
-    *jobs* (REJECTED) at the hard capacity wall.  When off, overload
-    goes straight to REJECTED with no degraded rung.
-
-    Unlike the implementation flags above this is an admission *policy*,
-    not a bit-identity lever, so it lives beside — not inside —
-    :class:`FastPathConfig`: an explicit argument wins, otherwise
-    ``REPRO_SERVICE_DEGRADE`` decides (default on).
-    """
-    if explicit is not None:
-        return explicit
-    return _env_bool("REPRO_SERVICE_DEGRADE", True)
-
-
-def service_async_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the service's asyncio front-door switch.
-
-    When on, ``repro serve`` runs the :mod:`repro.service.aserver`
-    event-loop server (coroutine per connection, streamed partial
-    results) instead of the thread-per-connection daemon.  Both speak
-    the identical frame protocol against the identical pool, so this is
-    a deployment-shape lever, not a semantic one: an explicit argument
-    (the ``--async`` / ``--sync`` CLI flags) wins, otherwise
-    ``REPRO_SERVICE_ASYNC`` decides (default off — the threaded daemon
-    remains the conservative default).
-    """
-    if explicit is not None:
-        return explicit
-    return _env_bool("REPRO_SERVICE_ASYNC", False)
-
-
-#: rows per streamed partial frame (slice pcs/lines chunking).
-DEFAULT_STREAM_CHUNK_ROWS = 64
-
-
-def stream_chunk_rows(explicit: int | None = None) -> int:
-    """Resolve the streamed-result row-chunk size.
-
-    Bounds how many slice rows ride in one ``partial`` frame.  Purely a
-    framing knob — reassembly is chunk-size-independent, so any positive
-    value yields byte-identical results.  An explicit positive argument
-    wins, then ``REPRO_SERVICE_STREAM_CHUNK``, then
-    :data:`DEFAULT_STREAM_CHUNK_ROWS`.
-    """
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("stream chunk must be >= 1 row")
-        return explicit
-    raw = os.environ.get("REPRO_SERVICE_STREAM_CHUNK")
-    if raw is None:
-        return DEFAULT_STREAM_CHUNK_ROWS
-    return max(1, int(raw))
-
-
-def service_observe_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the analysis service's observability switch.
-
-    When on (the default), a daemon keeps a flight-recorder ring and a
-    metrics sampler running, and honors per-job ``trace`` requests with
-    wall-clock spans.  All of it is job-granular host-side bookkeeping —
-    nothing touches the modeled cycle counters or the per-record hot
-    loops — so like ``service_degrade_enabled`` above it is an
-    operational policy, not a bit-identity lever: an explicit argument
-    wins, otherwise ``REPRO_SERVICE_OBSERVE`` decides (default on).
-    """
-    if explicit is not None:
-        return explicit
-    return _env_bool("REPRO_SERVICE_OBSERVE", True)
-
-
-def service_lake_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the service's trace-lake persistence switch.
-
-    When on, workers spill each traced job's packed dependence stream
-    into the trace lake (:mod:`repro.lake`) under the observability
-    umbrella, so "the one request that failed" can be sliced and
-    diffed post-hoc — even after a crash — without re-executing it.
-    Persistence is job-granular I/O outside the modeled machine, so
-    like the switches above it is an operational policy: an explicit
-    argument wins, otherwise ``REPRO_SERVICE_LAKE`` decides (default
-    off — spilling every job costs disk).
-    """
-    if explicit is not None:
-        return explicit
-    return _env_bool("REPRO_SERVICE_LAKE", False)
-
-
 _current: FastPathConfig | None = None
 
 
@@ -345,14 +231,11 @@ def resolve(flag: bool | None, name: str) -> bool:
 
 
 __all__ = [
-    "DEFAULT_KERNEL_BATCH",
     "DEFAULT_PARALLEL_BATCH",
-    "DEFAULT_STREAM_CHUNK_ROWS",
     "FastPathConfig",
     "configure",
     "current",
     "from_env",
-    "kernel_batch_size",
     "kernel_fallbacks",
     "note_kernel_fallback",
     "numpy_available",
@@ -361,9 +244,4 @@ __all__ = [
     "propagation_kernel",
     "replace",
     "resolve",
-    "service_async_enabled",
-    "service_degrade_enabled",
-    "service_lake_enabled",
-    "service_observe_enabled",
-    "stream_chunk_rows",
 ]

@@ -19,24 +19,20 @@ require:
 * :mod:`pool` — the sharded worker-process pool: affinity routing by
   program hash with idle-steal, per-job deadlines with cancellation,
   crash detection and bounded respawn/backoff with one retry.
-* :mod:`server` / :mod:`client` — the accept loop + blocking client
+* :mod:`server` / :mod:`client` — the thread-per-connection daemon
+  with streamed ``partial`` result frames, and the blocking client
   (also reachable as ``repro serve`` / ``repro submit``).
-* :mod:`aserver` — the :mod:`asyncio` front door: one event loop,
-  coroutine per connection, streamed ``partial`` result frames
-  (``repro serve --async``); same :class:`~repro.service.server.ServiceCore`,
-  byte-identical terminal responses.
 * :mod:`router` — the scale-out tier: consistent-hash sharding of job
   requests across N daemons by program identity, health mark-down/up,
   draining, crash rerouting with exactly-once partial relay, and a
   router-level result cache (``repro route``).
 
-Everything threads ``service.*`` / ``aserver.*`` / ``router.*``
-telemetry through :class:`repro.telemetry.MetricsRegistry`; ``STATS``
-and ``HEALTH`` requests expose the same snapshot over the wire.
+Everything threads ``service.*`` / ``router.*`` telemetry through
+:class:`repro.telemetry.MetricsRegistry`; ``STATS`` and ``HEALTH``
+requests expose the same snapshot over the wire.
 """
 
 from .admission import AdmissionController, AdmissionDecision
-from .aserver import AsyncAnalysisServer, make_server
 from .cache import ResultCache
 from .client import (
     ServiceClient,
@@ -72,13 +68,12 @@ from .protocol import (
     send_frame,
 )
 from .router import HashRing, RouterConfig, RouterServer, routing_key
-from .server import AnalysisServer, ServiceConfig, ServiceCore
+from .server import AnalysisServer, ServiceConfig
 
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AnalysisServer",
-    "AsyncAnalysisServer",
     "FIDELITY_LADDER",
     "FrameAssembler",
     "HashRing",
@@ -92,7 +87,6 @@ __all__ = [
     "ServiceObservability",
     "ServiceClient",
     "ServiceConfig",
-    "ServiceCore",
     "ServiceError",
     "ServiceProtocolError",
     "STATUS_DEGRADED",
@@ -107,7 +101,6 @@ __all__ = [
     "execute_job",
     "execute_job_stream",
     "execute_job_traced",
-    "make_server",
     "program_key",
     "reassemble",
     "recv_frame",

@@ -126,6 +126,9 @@ def resolve_spec(payload: dict, allow_chaos: bool = False) -> JobSpec:
         raise ProtocolError(f"kind {kind!r} has no fidelity {fidelity!r} (ladder {ladder})")
     workload = payload.get("workload")
     source = payload.get("source")
+    for name, value in (("workload", workload), ("source", source)):
+        if value is not None and not isinstance(value, str):
+            raise ProtocolError(f"'{name}' must be a string")
     if kind != CHAOS_KIND:
         if (workload is None) == (source is None):
             raise ProtocolError("exactly one of 'workload' or 'source' is required")
@@ -134,14 +137,20 @@ def resolve_spec(payload: dict, allow_chaos: bool = False) -> JobSpec:
                 f"unknown workload {workload!r} "
                 f"(available: {', '.join(sorted(WORKLOAD_FACTORIES))})"
             )
+    # bool is an int subclass: reject it explicitly so true/false never
+    # pass as a scale or a deadline.
     scale = payload.get("scale", 1)
-    if not isinstance(scale, int) or scale < 1:
+    if isinstance(scale, bool) or not isinstance(scale, int) or scale < 1:
         raise ProtocolError("'scale' must be a positive integer")
     params = payload.get("params") or {}
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be a JSON object")
     deadline = payload.get("deadline_s")
-    if deadline is not None and (not isinstance(deadline, (int, float)) or deadline <= 0):
+    if deadline is not None and (
+        isinstance(deadline, bool)
+        or not isinstance(deadline, (int, float))
+        or deadline <= 0
+    ):
         raise ProtocolError("'deadline_s' must be a positive number")
     return JobSpec(
         kind=kind,
@@ -309,16 +318,13 @@ def _execute_dift_stats(payload: dict, telemetry=None) -> dict:
 
 
 def _lake_pending(payload: dict, params: dict, inputs: dict):
-    """Reserve a trace-lake run for this job, or None when persistence
-    is off.  The run is reserved *before* execution so the tracer
-    spills while it runs — a worker killed mid-job leaves an
-    incomplete run with a recoverable trace prefix (the crash
-    postmortem story), not nothing.
+    """Reserve a trace-lake run for this job, or None unless the job
+    asks for persistence (``params.lake``).  The run is reserved
+    *before* execution so the tracer spills while it runs — a worker
+    killed mid-job leaves an incomplete run with a recoverable trace
+    prefix (the crash postmortem story), not nothing.
     """
-    explicit = params.get("lake")
-    if not fastpath.service_lake_enabled(
-        None if explicit is None else bool(explicit)
-    ):
+    if not params.get("lake"):
         return None
     from ..lake import TraceLake
     from ..lake import input_hash as _lake_input_hash
@@ -384,17 +390,15 @@ def _no_emit(op: dict) -> None:
     return None
 
 
-def _stream_chunk() -> int:
-    from .. import fastpath
-
-    return fastpath.stream_chunk_rows()
+#: rows per streamed partial frame (slice pcs/lines chunking).  Purely
+#: framing: reassembly is chunk-size-independent.
+STREAM_CHUNK_ROWS = 64
 
 
 def _emit_chunks(emit, path: str, items: list) -> None:
     """Append ``items`` at dotted ``path`` in bounded row chunks."""
-    chunk = _stream_chunk()
-    for i in range(0, len(items), chunk):
-        emit({"append": {path: items[i : i + chunk]}})
+    for i in range(0, len(items), STREAM_CHUNK_ROWS):
+        emit({"append": {path: items[i : i + STREAM_CHUNK_ROWS]}})
 
 
 def _execute_slice(payload: dict, telemetry=None, emit=_no_emit) -> dict:
@@ -626,7 +630,7 @@ def execute_job_stream(payload: dict, emit, telemetry=None) -> dict:
     outputs) for the long-tail payloads.  Returns the same result
     envelope :func:`execute_job` does; the blocking path *is* this path
     with the emits dropped, so reassembling every emitted op yields the
-    returned envelope exactly (``tests/test_aserver.py`` proves it per
+    returned envelope exactly (``tests/test_stream.py`` proves it per
     job kind).
     """
     return _execute(payload, telemetry, emit)

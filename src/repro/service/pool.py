@@ -142,9 +142,6 @@ class Job:
         self.partial_cb = None
         self.partial_seq = 0
         self.partials_delivered = 0
-        #: invoked (on the finishing thread) right after ``event`` is
-        #: set — the async server's loop-wakeup seam.
-        self.done_cb = None
         now = time.monotonic()
         self.t_submit = now
         self.w_submit = wall_now_us()
@@ -164,12 +161,6 @@ class Job:
         self.result = result
         self.error = error
         self.event.set()
-        callback = self.done_cb
-        if callback is not None:
-            try:
-                callback()
-            except Exception:  # pragma: no cover - callback owner's bug
-                pass
 
     def deliver_partial(self, op: dict) -> None:
         """Forward one worker partial to the registered consumer."""

@@ -23,7 +23,7 @@ Response ``status`` values:
 ``error``       the job failed (bad spec, compile error, worker crash
                 after retry); ``error`` holds a one-line message
 ``partial``     one incremental frame of a streamed job (``stream:
-                true`` requests against the async server); carries an
+                true`` requests); carries an
                 ``op`` to fold into the result under construction.
                 The terminal frame of a streamed job is a normal
                 ``ok``/``degraded``/... frame, byte-identical to the
@@ -36,7 +36,7 @@ result under construction (dotted keys address nested objects),
 ``{"append": {key: [items]}}`` extends a list at a dotted key.
 :func:`apply_stream_op` / :func:`reassemble` fold them back into the
 full result dict, and the contract (proven per job kind by
-``tests/test_aserver.py``) is that reassembling every partial op yields
+``tests/test_stream.py``) is that reassembling every partial op yields
 the terminal frame's ``result`` byte for byte.
 """
 
@@ -122,9 +122,9 @@ def recv_frame(sock: socket.socket):
 class FrameAssembler:
     """Transport-free incremental frame parser.
 
-    Feed it raw bytes from *any* source — a socket the threaded server
-    polls, an :mod:`asyncio` stream the async front door reads, a
-    router's backend connection — and pull decoded frames out.  This is
+    Feed it raw bytes from *any* source — a socket the daemon polls, a
+    router's client or backend connection — and pull decoded frames
+    out.  This is
     the single place header parsing and payload decoding happen, so
     every transport shares one set of :class:`ProtocolError` messages
     (a corrupt header can never surface as a raw ``struct.error``).
@@ -252,8 +252,8 @@ def apply_stream_op(result: dict, op: dict) -> dict:
 def reassemble(ops: list) -> dict:
     """Fold a streamed job's partial ops into the full result dict.
 
-    The async server guarantees the reassembly of every partial op
-    equals the terminal frame's ``result`` byte for byte.
+    The daemon guarantees the reassembly of every partial op equals
+    the terminal frame's ``result`` byte for byte.
     """
     result: dict = {}
     for op in ops:

@@ -38,7 +38,8 @@ from repro.service import (
 )
 from repro.service.protocol import ProtocolError, STATUS_PARTIAL
 
-from tests.test_aserver import canonical
+from tests.test_service import BAD_FIELDS
+from tests.test_stream import canonical
 
 WORKLOADS = ("matmul", "sort", "hashloop", "rle", "bfs", "fsm")
 
@@ -288,6 +289,29 @@ class TestRouterIntegration:
             assert stats["health"]["backends_total"] == 2
             summary = client.metrics()["summary"]
             assert summary["jobs_received"] >= 2
+
+    def test_malformed_fields_get_typed_errors(
+        self, backend_factory, router_factory, monkeypatch
+    ):
+        """Wrongly typed job fields come back as an ``error`` frame from
+        the daemon and from the router, not as a dead handler and a bare
+        EOF; the next request on a new connection still succeeds."""
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        daemon = backend_factory()
+        router = router_factory([daemon.config.socket_path])
+        wait_until_ready(router.config.socket_path)
+        for address in (daemon.config.socket_path, router.config.socket_path):
+            for fields, match in BAD_FIELDS:
+                with ServiceClient(address, timeout_s=30.0) as client:
+                    response = client.request(dict(fields, kind="trace"))
+                assert response["status"] == "error", (address, fields, response)
+                assert match in response["error"]
+                with ServiceClient(address, timeout_s=60.0) as client:
+                    response = client.submit("trace", workload="rle",
+                                             fidelity="log", cache=False)
+                assert response["status"] == "ok", (address, response)
+        assert not crashed
 
     def test_placement_sticks_to_one_backend(self, backend_factory, router_factory):
         backends = [backend_factory().config.socket_path for _ in range(3)]

@@ -74,6 +74,15 @@ def server_factory(tmp_path):
         server.stop()
 
 
+#: wrongly typed job fields, each with the field its ProtocolError names.
+BAD_FIELDS = [
+    ({"workload": [1]}, "workload"),
+    ({"source": 5}, "source"),
+    ({"workload": "matmul", "scale": True}, "scale"),
+    ({"workload": "matmul", "deadline_s": True}, "deadline"),
+]
+
+
 def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -275,11 +284,14 @@ class TestJobs:
         with pytest.raises(ProtocolError, match="unknown workload"):
             resolve_spec({"kind": "trace", "workload": "quicksort3"})
 
-    def test_resolve_rejects_bad_scale_and_deadline(self):
-        with pytest.raises(ProtocolError, match="scale"):
-            resolve_spec({"kind": "trace", "workload": "matmul", "scale": 0})
-        with pytest.raises(ProtocolError, match="deadline"):
-            resolve_spec({"kind": "trace", "workload": "matmul", "deadline_s": -1})
+    @pytest.mark.parametrize("fields,match", [
+        ({"workload": "matmul", "scale": 0}, "scale"),
+        ({"workload": "matmul", "deadline_s": -1}, "deadline"),
+        *BAD_FIELDS,
+    ])
+    def test_resolve_rejects_bad_scale_and_deadline(self, fields, match):
+        with pytest.raises(ProtocolError, match=match):
+            resolve_spec(dict(fields, kind="trace"))
 
     def test_cache_key_separates_fidelity_and_params(self):
         base = {"kind": "trace", "workload": "matmul"}

@@ -1,4 +1,4 @@
-"""Tests for the asyncio front door (``repro.service.aserver``).
+"""Tests for streamed job results and the frame layer under them.
 
 The load-bearing contract is *structural bit-identity*: a streamed
 job's terminal frame equals the blocking response byte for byte, and
@@ -7,7 +7,7 @@ every job kind, every fidelity rung, and across worker crash-retries
 (where the partial ``seq`` dedup must make the replayed prefix
 invisible).  The transport-free pieces (:class:`FrameAssembler`, the
 stream-op fold) are unit-tested first; the integration layers stand up
-real :class:`AsyncAnalysisServer` daemons on Unix/TCP sockets.
+real :class:`AnalysisServer` daemons on Unix/TCP sockets.
 """
 
 import json
@@ -18,12 +18,11 @@ import threading
 import pytest
 
 from repro.service import (
-    AsyncAnalysisServer,
+    AnalysisServer,
     ServiceClient,
     ServiceConfig,
     ServiceError,
     ServiceProtocolError,
-    make_server,
     wait_until_ready,
 )
 from repro.service.protocol import (
@@ -44,16 +43,16 @@ def canonical(obj) -> str:
 
 
 @pytest.fixture
-def aserver_factory(tmp_path):
-    """Start async servers on tmp Unix sockets; all stopped at teardown."""
+def daemon_factory(tmp_path):
+    """Start daemons on tmp Unix sockets; all stopped at teardown."""
     servers = []
     counter = [0]
 
-    def start(**kwargs) -> AsyncAnalysisServer:
+    def start(**kwargs) -> AnalysisServer:
         counter[0] += 1
         if "port" not in kwargs:
-            kwargs.setdefault("socket_path", str(tmp_path / f"async{counter[0]}.sock"))
-        server = AsyncAnalysisServer(ServiceConfig(**kwargs)).start()
+            kwargs.setdefault("socket_path", str(tmp_path / f"svc{counter[0]}.sock"))
+        server = AnalysisServer(ServiceConfig(**kwargs)).start()
         servers.append(server)
         return server
 
@@ -157,7 +156,7 @@ class TestStreamOps:
 
 
 # ---------------------------------------------------------------------------
-# The async daemon
+# The streaming daemon
 # ---------------------------------------------------------------------------
 ALL_COMBOS = [
     ("trace", "full"), ("trace", "dift"), ("trace", "log"),
@@ -168,20 +167,22 @@ ALL_COMBOS = [
 
 
 class TestAsyncServer:
-    def test_control_verbs_and_ready(self, aserver_factory):
-        server = aserver_factory(workers=1)
+    """The streaming contract end to end against a live daemon."""
+
+    def test_control_verbs_and_ready(self, daemon_factory):
+        server = daemon_factory(workers=1)
         health = wait_until_ready(server.config.socket_path)
         assert health["ok"] and health["workers_alive"] == 1
         with ServiceClient(server.config.socket_path) as client:
             stats = client.stats()
             assert stats["health"]["queue_capacity"] == 8
             metrics = client.metrics()
-            assert "aserver.requests" in metrics["json"]["counters"]
+            assert "service.requests" in metrics["json"]["counters"]
             assert metrics["summary"]["reject_rate"] == 0.0
 
     @pytest.mark.parametrize("kind,fidelity", ALL_COMBOS)
-    def test_streamed_equals_blocking_bit_for_bit(self, aserver_factory, kind, fidelity):
-        server = aserver_factory(workers=1)
+    def test_streamed_equals_blocking_bit_for_bit(self, daemon_factory, kind, fidelity):
+        server = daemon_factory(workers=1)
         address = server.config.socket_path
         request = {"kind": kind, "fidelity": fidelity, "workload": "matmul",
                    "cache": False}
@@ -198,8 +199,8 @@ class TestAsyncServer:
         rebuilt = reassemble([p["op"] for p in partials])
         assert canonical(rebuilt) == canonical(terminal["result"])
 
-    def test_streamed_cache_hit_has_no_partials(self, aserver_factory):
-        server = aserver_factory(workers=1)
+    def test_streamed_cache_hit_has_no_partials(self, daemon_factory):
+        server = daemon_factory(workers=1)
         address = server.config.socket_path
         request = {"kind": "slice", "workload": "sort"}
         _, cold = stream_exchange(address, request)
@@ -207,8 +208,8 @@ class TestAsyncServer:
         assert warm["cached"] and not partials
         assert canonical(warm["result"]) == canonical(cold["result"])
 
-    def test_submit_stream_client_api(self, aserver_factory):
-        server = aserver_factory(workers=1)
+    def test_submit_stream_client_api(self, daemon_factory):
+        server = daemon_factory(workers=1)
         seen = []
         with ServiceClient(server.config.socket_path) as client:
             response, ops = client.submit_stream(
@@ -219,12 +220,12 @@ class TestAsyncServer:
         assert seen == list(range(1, len(ops) + 1))
         assert canonical(reassemble(ops)) == canonical(response["result"])
 
-    def test_crash_retry_stream_is_exactly_once(self, aserver_factory, tmp_path):
+    def test_crash_retry_stream_is_exactly_once(self, daemon_factory, tmp_path):
         """A worker crash mid-stream must not duplicate or reorder ops:
         the retry replays seq from 1 and the server drops the replayed
         prefix, so the client still sees a contiguous exactly-once
         stream whose reassembly equals the terminal result."""
-        server = aserver_factory(workers=1, allow_chaos=True)
+        server = daemon_factory(workers=1, allow_chaos=True)
         flag = str(tmp_path / "crash.flag")
         partials, terminal = stream_exchange(
             server.config.socket_path,
@@ -238,10 +239,10 @@ class TestAsyncServer:
         assert canonical(reassemble([p["op"] for p in partials])) == canonical(
             terminal["result"]
         )
-        assert server.registry.flat().get("aserver.stream.duplicates_dropped", 0) >= 1
+        assert server.registry.flat().get("service.stream.duplicates_dropped", 0) >= 1
 
-    def test_many_concurrent_blocking_clients(self, aserver_factory):
-        server = aserver_factory(workers=2, queue_capacity=64)
+    def test_many_concurrent_blocking_clients(self, daemon_factory):
+        server = daemon_factory(workers=2, queue_capacity=64)
         address = server.config.socket_path
         results, errors = [], []
 
@@ -262,10 +263,10 @@ class TestAsyncServer:
         assert len(results) == 32
         assert all(r["status"] in ("ok", "degraded", "rejected") for r in results)
         flat = server.registry.flat()
-        assert flat["aserver.connections"] >= 32
+        assert flat["service.connections"] >= 32
 
-    def test_tcp_transport(self, aserver_factory):
-        server = aserver_factory(port=0, workers=1)
+    def test_tcp_transport(self, daemon_factory):
+        server = daemon_factory(port=0, workers=1)
         address = f"tcp://127.0.0.1:{server.config.port}"
         wait_until_ready(address)
         with ServiceClient(address) as client:
@@ -273,28 +274,14 @@ class TestAsyncServer:
                                      cache=False)
         assert response["status"] == "ok"
 
-    def test_shutdown_verb_stops_serve_forever(self, aserver_factory):
-        server = aserver_factory(workers=1)
+    def test_shutdown_verb_stops_serve_forever(self, daemon_factory):
+        server = daemon_factory(workers=1)
         waiter = threading.Thread(target=server.serve_forever, daemon=True)
         waiter.start()
         with ServiceClient(server.config.socket_path) as client:
             assert client.shutdown()["shutting_down"] is True
         waiter.join(timeout=15.0)
         assert not waiter.is_alive()
-
-
-class TestMakeServer:
-    def test_explicit_flag_wins(self, tmp_path):
-        config = ServiceConfig(socket_path=str(tmp_path / "a.sock"))
-        assert isinstance(make_server(config, use_async=True), AsyncAnalysisServer)
-        assert not isinstance(make_server(config, use_async=False), AsyncAnalysisServer)
-
-    def test_env_default(self, tmp_path, monkeypatch):
-        config = ServiceConfig(socket_path=str(tmp_path / "b.sock"))
-        monkeypatch.delenv("REPRO_SERVICE_ASYNC", raising=False)
-        assert not isinstance(make_server(config), AsyncAnalysisServer)
-        monkeypatch.setenv("REPRO_SERVICE_ASYNC", "1")
-        assert isinstance(make_server(config), AsyncAnalysisServer)
 
 
 # ---------------------------------------------------------------------------
